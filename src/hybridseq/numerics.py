@@ -29,6 +29,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf as _erf
+from scipy.special import expit as _expit
 
 __all__ = [
     "Tensor",
@@ -49,8 +50,10 @@ __all__ = [
     "zeros",
     "randn",
     "matmul",
+    "bmatmul",
     "einsum2",
     "transpose",
+    "permute",
     "reshape",
     "concat_rows",
     "concat_cols",
@@ -434,12 +437,43 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    if a.shape[0] == 1:
+        # numpy hands a one-row product to gemv, which rounds differently
+        # from gemm; two rows keep it on gemm, so a row's result does not
+        # depend on how many rows share the call (stream chaining relies
+        # on that)
+        out = (np.concatenate([a.data, a.data]) @ b.data)[:1]
+    else:
+        out = a.data @ b.data
     meter_add("matmul", 2.0 * a.shape[0] * a.shape[1] * b.shape[1])
     ad, bd = a.data, b.data
 
     def vjp(g):
         return (g @ bd.T, ad.T @ g)
+
+    return _node(out, (a, b), vjp)
+
+
+def bmatmul(a, b) -> Tensor:
+    """Batched matrix product [..., m, k] x [..., k, n] -> [..., m, n].
+
+    Leading (batch) axes broadcast as in `np.matmul`; each batch element is
+    one BLAS call, so this is the form to reach for when a contraction has
+    shared batch axes (einsum2 would loop in C without BLAS).
+    """
+    a, b = _coerce(a), _coerce(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"bmatmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"bmatmul inner dimensions disagree: {a.shape} x {b.shape}")
+    out = np.matmul(a.data, b.data)
+    meter_add("matmul", 2.0 * out.size * a.shape[-1])
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
     return _node(out, (a, b), vjp)
 
@@ -492,6 +526,21 @@ def transpose(a) -> Tensor:
 
     def vjp(g):
         return (g.T,)
+
+    return _node(out, (a,), vjp)
+
+
+def permute(a, axes) -> Tensor:
+    """Reorder axes (`np.transpose` with explicit axes); copies to row-major."""
+    a = _coerce(a)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"permute: {axes} is not a permutation of {a.ndim} axes")
+    out = np.transpose(a.data, axes)
+    inverse = tuple(np.argsort(axes))
+
+    def vjp(g):
+        return (np.transpose(g, inverse),)
 
     return _node(out, (a,), vjp)
 
@@ -690,13 +739,8 @@ def sigmoid(a) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # Branch on sign to stay overflow-free in both tails.
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # scipy's logistic is overflow-free in both tails and needs no masks.
+    return _expit(x)
 
 
 def silu(a) -> Tensor:

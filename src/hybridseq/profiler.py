@@ -35,6 +35,7 @@ from . import model as mod
 from . import numerics as ng
 from .model import ARCH_BASELINE, ARCH_HYBRID, BLOCK_NONE, Model
 from .numerics import ContractError, FLOP_COST
+from .ssm import EXPAND, SSD_CHUNK
 
 __all__ = [
     "CostModel",
@@ -53,8 +54,6 @@ __all__ = [
 ]
 
 BENCH_SCHEMA = "hybridseq.bench.v1"
-
-_EXPAND = 2  # state-space block expansion factor, mirrors ssm.EXPAND
 
 
 # --------------------------------------------------------------------------
@@ -84,11 +83,35 @@ def _ln_flops(rows: int, d: int) -> float:
     return FLOP_COST["layer_norm"] * float(rows) * d
 
 
+def _ssd_scan_flops(m: int, d_inner: int, n_heads: int, n_state: int, chunk: int) -> float:
+    """The chunked mamba2 scan over m rows from a zero state, as metered.
+
+    Every chunk runs at full width, so the zero rows that pad the last
+    chunk count too."""
+    h, n, q = n_heads, n_state, chunk
+    k = -(-m // q)
+    rows = k * q
+    fl = 2.0 * h  # a = -exp(a_log)
+    fl += m * h + m * d_inner  # dA = delta * a, x * delta
+    fl += FLOP_COST["cumsum"] * float(rows) * h  # chunk-local cumulative dA
+    fl += 3.0 * rows * q * h  # decay matrix: difference, causal zeroing, exp
+    fl += 2.0 * rows * q * n + rows * q  # C B^T scores and their causal mask
+    fl += rows * q * h  # decay * scores
+    fl += 2.0 * rows * q * d_inner  # intra-chunk output
+    fl += 2.0 * rows * h + rows * d_inner  # decay to chunk end, applied to x*delta
+    fl += 2.0 * rows * d_inner * n  # each chunk's contribution to its end state
+    fl += k * h + 2.0 * k * d_inner * n  # chunk-to-chunk state passing
+    fl += 2.0 * rows * d_inner * n  # readout of the carried-in state
+    fl += rows * h + 2.0 * rows * d_inner  # its decay, and the sum of both outputs
+    return fl
+
+
 def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: int) -> float:
-    """The block as implemented with the streaming (no-graph) scan."""
+    """The block as implemented: mamba1 on the streaming (no-graph)
+    sequential scan, mamba2 on the chunked scan."""
     if m == 0:
         return 0.0
-    d_inner = _EXPAND * d
+    d_inner = EXPAND * d
     n_delta = d_inner if variant == "mamba1" else n_heads_ssm
     fl = _ln_flops(m, d)
     fl += 2.0 * m * d * 2 * d_inner  # input projection to [ssm | gate]
@@ -97,8 +120,10 @@ def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: 
     fl += 2.0 * m * d_inner * n_delta + FLOP_COST["softplus"] * float(m) * n_delta
     fl += m * n_delta  # delta bias add
     fl += 2.0 * 2 * m * d_inner * n_state  # B and C projections
-    per_step = (9 if variant == "mamba1" else 5) * d_inner * n_state + 2 * d_inner * n_state
-    fl += float(per_step) * m  # streaming recurrence + readout
+    if variant == "mamba1":
+        fl += float((9 + 2) * d_inner * n_state) * m  # streaming recurrence + readout
+    else:
+        fl += _ssd_scan_flops(m, d_inner, n_heads_ssm, n_state, SSD_CHUNK)
     fl += FLOP_COST["silu"] * float(m) * d_inner + m * d_inner  # gate
     fl += 2.0 * m * d_inner * d  # output projection
     fl += m * d  # residual
@@ -175,7 +200,7 @@ class CostModel:
         per_layer = 2.0 * h * m * n + 2.0 * h * n * n  # cross + self scores/probs
         per_layer += 6.0 * n * d + 2.0 * n * self.mlp_ratio * d + 2.0 * n * d
         if self.block_variant != BLOCK_NONE:
-            d_inner = _EXPAND * d
+            d_inner = EXPAND * d
             # recorded scan: decay, update and state tensors over all steps,
             # plus conv/gate activations
             per_layer += 3.0 * m * d_inner * self.n_state + 6.0 * m * d_inner

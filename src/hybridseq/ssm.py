@@ -6,14 +6,29 @@ Two block variants are supported:
   zero-order-hold discretization of both the decay and the input path.
 * ``mamba2`` -- scalar-times-identity state matrix per head (n_state 64,
   multi-head), decay discretized exactly, input path by the Euler step
-  ``b_bar = delta * B``; this structure admits a chunked, matmul-friendly
-  scan (`scan_chunked_ssd`) equivalent to the sequential recurrence.
+  ``b_bar = delta * B``; this structure admits the chunked, matmul-bound
+  state-space-dual scan (`scan_chunked_ssd`).
 
 Both variants share the selective parameterization: the step size, input
 projection and readout (delta_t, B_t, C_t) are functions of the current
-input.  The recurrence itself is factored into `linear_recurrence`, a fused
-primitive with a hand-written reverse pass, so a whole scan adds O(1) nodes
-to the autodiff graph regardless of sequence length.
+input.
+
+Which scan runs where:
+
+* `mamba_block_forward` runs mamba2 on the chunked core `_ssd_scan` (chunk
+  `SSD_CHUNK`) in prefill, evaluation and training alike; it is built from
+  `numerics` ops, so it records a graph under grad and meters its FLOPs.
+  mamba1 runs on `scan_sequential`.
+* `scan_sequential` -- the per-token recurrence, with the fused
+  `linear_recurrence` primitive on the recorded path -- is the oracle the
+  chunked core is tested against; no mamba2 path depends on it.
+
+`SSMState` carries the hidden state `h`, the convolution tail and, after a
+chunked scan, the open chunk (`OpenChunk`: the state at the chunk's start
+plus its consumed rows of dA, B and x*delta).  The chunk grid is anchored at
+absolute positions and every chunk is evaluated at full width, so for a
+fixed chunk size a stream scanned in pieces is bit-identical to one scanned
+whole.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ __all__ = [
     "MAMBA2",
     "SSMParams",
     "SSMState",
+    "OpenChunk",
     "hippo_init",
     "zoh_discretize",
     "linear_recurrence",
@@ -45,6 +61,8 @@ MAMBA2 = "mamba2"
 
 CONV_WIDTH = 4
 EXPAND = 2
+SSD_CHUNK = 64  # rows per chunk of the mamba2 block's scan
+_SSD_GROUP = 16  # chunks the chunked scan evaluates at once
 
 
 # --------------------------------------------------------------------------
@@ -102,15 +120,32 @@ class SSMParams:
 
 
 @dataclass
+class OpenChunk:
+    """The unfinished chunk of a chunked scan: the state at its start
+    boundary and the rows it has consumed so far."""
+
+    h: np.ndarray  # [n_heads, head_dim, n_state]
+    da: np.ndarray  # [r, n_heads]
+    b: np.ndarray  # [r, n_state]
+    xdt: np.ndarray  # [r, n_heads, head_dim]
+
+    def copy(self) -> "OpenChunk":
+        return OpenChunk(self.h.copy(), self.da.copy(), self.b.copy(), self.xdt.copy())
+
+
+@dataclass
 class SSMState:
-    """Running state of one block: SSM hidden state plus convolution tail."""
+    """Running state of one block: SSM hidden state plus convolution tail,
+    and the open chunk of the chunked scan (None at a chunk boundary)."""
 
     h: np.ndarray  # [n_heads, head_dim, n_state]
     conv_tail: np.ndarray  # [CONV_WIDTH-1, d_inner], most recent input last
     position: int = 0
+    open_chunk: OpenChunk | None = None
 
     def copy(self) -> "SSMState":
-        return SSMState(self.h.copy(), self.conv_tail.copy(), self.position)
+        oc = None if self.open_chunk is None else self.open_chunk.copy()
+        return SSMState(self.h.copy(), self.conv_tail.copy(), self.position, oc)
 
 
 def init_state(params: SSMParams) -> SSMState:
@@ -364,66 +399,176 @@ def _scan_streaming(params, x, delta, b, c, h0, position):
     return y, h_final
 
 
-def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
-    """Chunked parallel scan (state-space dual form), mamba2 only.
+def _boundary_states(decay: Tensor, s: Tensor, h0: Tensor) -> Tensor:
+    """States at the chunk boundaries: H_0 = h0, H_{k+1} = decay_k H_k + S_k.
 
-    Processes fixed-size chunks with an intra-chunk matrix form and carries
-    the hidden state across chunk boundaries; numerically equivalent to
-    `scan_sequential` from a zero initial state.
+    `decay` is [K, heads], `s` is [K, heads, ...] and `h0` is [heads, ...].
+    Returns H_0..H_K, [K+1, heads, ...], as one graph node.
+    """
+    e, u = decay.data, s.data
+    K = u.shape[0]
+    e_b = e.reshape(e.shape + (1,) * (u.ndim - e.ndim))
+    out = np.empty((K + 1,) + u.shape[1:])
+    out[0] = h0.data
+    for k in range(K):
+        out[k + 1] = e_b[k] * out[k] + u[k]
+    ng.meter_add("mul", 2.0 * u.size)
+
+    def vjp(g):
+        gs = np.empty_like(u)
+        ge = np.empty_like(e)
+        acc = g[K]
+        for k in range(K - 1, -1, -1):
+            gs[k] = acc
+            ge[k] = (acc * out[k]).reshape(e.shape[1], -1).sum(axis=1)
+            acc = e_b[k] * acc + g[k]
+        return (ge, gs, acc)
+
+    return ng.custom_op(out, (decay, s, h0), vjp)
+
+
+def _first_bad_row(*arrays: np.ndarray) -> int | None:
+    """Index of the first row that is non-finite in any of the arrays."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if all(np.isfinite(a.sum()) for a in arrays):  # NaN and inf survive a sum
+            return None
+    bad = np.zeros(arrays[0].shape[0], dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: int):
+    """Whole chunks of the scan, from the state h0 [heads, n_state, head_dim].
+
+    Takes the rows of dA [K*q, heads], B and C [K*q, n_state] and x*delta
+    [K*q, heads, head_dim].  Returns (y [K*q, heads*head_dim], the state at
+    each chunk's start [K, heads, n_state, head_dim], the end state).
+    """
+    K = da.shape[0] // q
+    hh, n, p = h0.shape
+
+    # chunk-local inclusive cumulative log-decay; row axis first for cumsum0
+    cum_q = ng.cumsum0(ng.permute(ng.reshape(da, (K, q, hh)), (1, 0, 2)))  # [q, K, h]
+    total = ng.slice_rows(cum_q, q - 1, q)  # [1, K, h], log-decay over each chunk
+    cum = ng.permute(cum_q, (1, 2, 0))  # [K, h, q]
+    b_t = ng.permute(ng.reshape(b, (K, q, n)), (0, 2, 1))  # [K, n, q]
+    c_k = ng.reshape(c, (K, q, n))
+    xh = ng.permute(ng.reshape(xdt, (K, q, hh, p)), (0, 2, 1, 3))  # [K, h, q, p]
+
+    # intra-chunk: decay(t, s) = exp(cum_t - cum_s) for s <= t.  The diffs
+    # above the diagonal are positive and may overflow, so they are zeroed
+    # before exp; the causal mask itself goes on the head-shared scores.
+    lower = np.tril(np.ones((q, q)))
+    diff = ng.sub(ng.reshape(cum, (K, hh, q, 1)), ng.reshape(cum, (K, hh, 1, q)))
+    scores = ng.mul(ng.bmatmul(c_k, b_t), lower)  # [K, q, q]
+    w = ng.mul(ng.exp(ng.mul(diff, lower)), ng.reshape(scores, (K, 1, q, q)))
+    y = ng.bmatmul(w, xh)
+
+    # chunk boundaries: each chunk's own contribution to its end state,
+    # S_k = sum_s exp(total - cum_s) B_s (x dt)_s, kept as [K, h, n, p]
+    to_end = ng.permute(ng.exp(ng.sub(total, cum_q)), (1, 2, 0))  # [K, h, q]
+    s_k = ng.bmatmul(ng.reshape(b_t, (K, 1, n, q)), ng.mul(xh, ng.reshape(to_end, (K, hh, q, 1))))
+    states = _boundary_states(ng.exp(ng.reshape(total, (K, hh))), s_k, h0)
+    starts = ng.slice_rows(states, 0, K)
+
+    # read out the state carried into each chunk: C_t exp(cum_t) H_k
+    y_state = ng.bmatmul(ng.reshape(c_k, (K, 1, q, n)), starts)
+    y = ng.add(y, ng.mul(y_state, ng.reshape(ng.exp(cum), (K, hh, q, 1))))
+    y = ng.reshape(ng.permute(y, (0, 2, 1, 3)), (K * q, hh * p))
+    return y, starts, ng.reshape(ng.slice_rows(states, K, K + 1), (hh, n, p))
+
+
+def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):
+    """Chunked state-space-dual scan of mamba2 over x [T, d_inner].
+
+    Within a chunk the scan is a masked matrix form, y = (L o C B^T) (x dt)
+    with L[t, s] = exp(sum of dA over s+1..t); between chunks only the
+    boundary states are passed on (Mamba-2, arXiv 2405.21060, sec. 6), so
+    nothing of size [T, heads, head_dim, n_state] is kept, with or without
+    grad.  Each chunk is laid out head-major, so every contraction is one
+    batched matmul, and at most `_SSD_GROUP` chunks are evaluated at once,
+    which bounds the working set at long inputs.
+
+    The grid continues `state`: its open chunk is finished first, every
+    chunk is evaluated at full width with zero rows after the input, and
+    the unfinished last chunk is carried in the returned state.  Returns
+    (y [T, d_inner], SSMState).  Raises NumericError naming the first token
+    whose inputs (dA, B, C, x dt) or output are non-finite, or the last
+    token when only the final state is.
     """
     if params.variant != MAMBA2:
-        raise ContractError("scan_chunked_ssd requires the mamba2 variant")
+        raise ContractError("the chunked scan requires the mamba2 variant")
     if chunk <= 0:
-        raise ContractError("scan_chunked_ssd: chunk size must be positive")
+        raise ContractError("chunked scan: chunk size must be positive")
     T = x.shape[0]
-    h, p, n = params.n_heads, params.head_dim, params.n_state
+    hh, p, n = params.n_heads, params.head_dim, params.n_state
+    if T == 0:
+        return ng.slice_rows(x, 0, 0), state.copy()
 
     delta, b, c = _selective_inputs(params, x)
     a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    da = ng.einsum2("th,h->th", delta, a_neg)  # [T, h], all entries < 0
-    x3 = ng.reshape(x, (T, h, p))
-    xdt = ng.mul(x3, ng.reshape(delta, (T, h, 1)))  # [T, h, p]
+    da = ng.mul(delta, a_neg)  # [T, h], all entries < 0
+    xdt = ng.mul(ng.reshape(x, (T, hh, p)), ng.reshape(delta, (T, hh, 1)))  # [T, h, p]
+    bad = _first_bad_row(da.data, b.data, c.data, xdt.data)
+    if bad is not None:
+        raise NumericError(f"scan produced non-finite state at token {state.position + bad}")
 
-    h_prev = Tensor(np.zeros((h, p, n)))
-    outs = []
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        q = hi - lo
-        da_k = ng.slice_rows(da, lo, hi)  # [q, h]
-        b_k = ng.slice_rows(b, lo, hi)  # [q, n]
-        c_k = ng.slice_rows(c, lo, hi)  # [q, n]
-        xdt_k = ng.slice_rows(xdt, lo, hi)  # [q, h, p]
+    oc = state.open_chunk
+    if oc is None:
+        oc = OpenChunk(state.h, np.zeros((0, hh)), np.zeros((0, n)), np.zeros((0, hh, p)))
+    r = oc.da.shape[0]
+    q = chunk
+    rows = -(-(r + T) // q) * q
+    pad = rows - (r + T)
 
-        cum = ng.cumsum0(da_k)  # [q, h], inclusive
-        # decay(t, s) = prod_{r=s+1..t} exp(da_r) = exp(cum_t - cum_s), s <= t
-        diff = ng.sub(
-            ng.reshape(cum, (q, 1, h)), ng.reshape(cum, (1, q, h))
-        )  # [t, s, h]
-        lower = np.tril(np.ones((q, q)))[:, :, None]
-        # zero the strictly-upper diffs before exponentiating: those entries
-        # are positive and would overflow for long chunks; after masking they
-        # contribute exp(0) * 0 = 0 exactly
-        decay_mat = ng.mul(ng.exp(ng.mul(diff, lower)), lower)
-        scores = ng.einsum2("tn,sn->ts", c_k, b_k)  # [q, q]
-        w = ng.mul(ng.reshape(scores, (q, q, 1)), decay_mat)  # [t, s, h]
-        y_intra = ng.einsum2("tsh,shp->thp", w, xdt_k)
+    def frame(carried: np.ndarray, t: Tensor) -> Tensor:
+        # the open chunk's rows first, zero rows up to the chunk grid last
+        parts = [Tensor(carried)] if r else []
+        parts.append(t)
+        if pad:
+            parts.append(Tensor(np.zeros((pad,) + t.shape[1:])))
+        return ng.concat_rows(parts) if len(parts) > 1 else t
 
-        # contribution of the carried state: C_t exp(cum_t) h_prev
-        y_state = ng.mul(
-            ng.einsum2("tn,hpn->thp", c_k, h_prev), ng.reshape(ng.exp(cum), (q, h, 1))
-        )
-        outs.append(ng.reshape(ng.add(y_intra, y_state), (q, params.d_inner)))
+    # carried rows read out nothing: their outputs were returned already
+    framed = [frame(oc.da, da), frame(oc.b, b), frame(np.zeros((r, n)), c), frame(oc.xdt, xdt)]
+    h = Tensor(oc.h.transpose(0, 2, 1))
+    # allocated before the chunk temporaries: a small array that outlives
+    # the call, allocated after them, can land among their freed blocks and
+    # keep the allocator from returning that memory (peak RSS +6 MB at M=8192)
+    h_final = np.empty((hh, p, n))
+    ys, step = [], _SSD_GROUP * q
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        group = framed if step >= rows else [ng.slice_rows(t, lo, hi) for t in framed]
+        y_g, starts, h = _ssd_chunks(*group, h, q)
+        ys.append(y_g)
+    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
+    if r or pad:
+        y = ng.slice_rows(y, r, r + T)
 
-        # next carried state: decay-to-end of everything, plus intra outer sum
-        total = ng.slice_rows(cum, q - 1, q)  # [1, h]
-        decay_to_end = ng.exp(ng.sub(ng.reshape(total, (1, h)), cum))  # [q, h]
-        contrib = ng.mul(xdt_k, ng.reshape(decay_to_end, (q, h, 1)))  # [q, h, p]
-        h_new = ng.einsum2("qhp,qn->hpn", contrib, b_k)
-        h_prev = ng.add(
-            ng.mul(h_prev, ng.reshape(ng.exp(total), (h, 1, 1))), h_new
-        )
+    bad = _first_bad_row(y.data)
+    h_final[...] = h.data.transpose(0, 2, 1)
+    if bad is None and not np.all(np.isfinite(h_final)):
+        bad = T - 1
+    if bad is not None:
+        raise NumericError(f"scan produced non-finite state at token {state.position + bad}")
 
-    return outs[0] if len(outs) == 1 else ng.concat_rows(outs)
+    open_chunk = None
+    if pad:
+        lo, hi = rows - q, rows - pad
+        open_chunk = OpenChunk(starts.data[-1].transpose(0, 2, 1).copy(),
+                               *(t.data[lo:hi].copy() for t in (framed[0], framed[1], framed[3])))
+    new_state = SSMState(h=h_final, conv_tail=state.conv_tail.copy(),
+                         position=state.position + T, open_chunk=open_chunk)
+    return y, new_state
+
+
+def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
+    """Chunked parallel scan (state-space dual form) from a zero state,
+    mamba2 only: the output of `_ssd_scan`, numerically equivalent to
+    `scan_sequential`."""
+    return _ssd_scan(params, x, init_state(params), chunk)[0]
 
 
 # --------------------------------------------------------------------------
@@ -473,7 +618,10 @@ def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = N
     conv_out = causal_conv4(params, xz, state.conv_tail)
     u = ng.silu(conv_out)
 
-    y_ssm, new_state = scan_sequential(params, u, state)
+    if params.variant == MAMBA2:
+        y_ssm, new_state = _ssd_scan(params, u, state, SSD_CHUNK)
+    else:
+        y_ssm, new_state = scan_sequential(params, u, state)
 
     gated = ng.mul(y_ssm, ng.silu(gate))
     out = ng.matmul(gated, params.w_out)

@@ -54,6 +54,83 @@ class TestMatmul:
         assert np.max(np.abs(left.data - right.data) / denom) < 1e-9
 
 
+class TestMatmulRowIndependence:
+    @pytest.mark.parametrize("k,n", [(4, 16), (8, 64), (64, 256)])
+    def test_one_row_matches_its_row_in_a_larger_product(self, k, n):
+        rng = ng.new_rng(k * n)
+        a = rng.standard_normal((9, k))
+        b = Tensor(rng.standard_normal((k, n)))
+        full = ng.matmul(Tensor(a), b).data
+        for i in (0, 8):
+            assert np.array_equal(ng.matmul(Tensor(a[i : i + 1]), b).data, full[i : i + 1])
+
+
+class TestBatchedOps:
+    def test_bmatmul_matches_per_batch_products(self):
+        rng = ng.new_rng(3)
+        a = rng.standard_normal((2, 3, 4, 5))
+        b = rng.standard_normal((2, 1, 5, 6))  # broadcast over axis 1
+        out = ng.bmatmul(Tensor(a), Tensor(b)).data
+        for i in range(2):
+            for j in range(3):
+                assert np.allclose(out[i, j], a[i, j] @ b[i, 0], atol=1e-14)
+
+    def test_bmatmul_meters_two_flops_per_multiply_add(self):
+        with ng.count_flops() as meter:
+            ng.bmatmul(Tensor(np.ones((3, 2, 4))), Tensor(np.ones((3, 4, 5))))
+        assert meter.by_kind["matmul"] == 2 * 3 * 2 * 4 * 5
+
+    def test_bmatmul_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ng.bmatmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError):
+            ng.bmatmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 4))))
+
+    def test_permute_round_trip_and_contract(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+        y = ng.permute(x, (2, 0, 1))
+        assert y.shape == (4, 2, 3) and y.data.flags["C_CONTIGUOUS"]
+        assert np.array_equal(ng.permute(y, (1, 2, 0)).data, x.data)
+        with pytest.raises(ShapeError):
+            ng.permute(x, (0, 0, 1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = ng.new_rng(2000 + seed)
+        b = Tensor(rng.standard_normal((2, 1, 4, 3)))
+        w = Tensor(rng.standard_normal((2, 3, 3, 5)))
+
+        def f(t):
+            y = ng.bmatmul(ng.permute(t, (0, 2, 1, 3)), b)  # [2, 3, 5, 3]
+            return ng.tsum(ng.mul(ng.permute(y, (0, 1, 3, 2)), w))
+
+        x = Tensor(rng.standard_normal((2, 5, 3, 4)), requires_grad=True)
+        bt = Tensor(b.data, requires_grad=True)
+        backward(ng.tsum(ng.mul(ng.permute(
+            ng.bmatmul(ng.permute(x, (0, 2, 1, 3)), bt), (0, 1, 3, 2)), w)))
+        assert rel_err(x.grad, finite_diff_grad(f, x.detach())) < 1e-4
+        fd_b = finite_diff_grad(
+            lambda t: ng.tsum(ng.mul(ng.permute(
+                ng.bmatmul(ng.permute(x.detach(), (0, 2, 1, 3)), t), (0, 1, 3, 2)), w)),
+            b,
+        )
+        assert bt.grad.shape == b.shape
+        assert rel_err(bt.grad, fd_b) < 1e-4
+
+
+class TestSigmoid:
+    def test_matches_the_sign_branched_form(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 10001), [-800.0, 800.0, 0.0]])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        e = np.exp(x[~pos])
+        ref[~pos] = e / (1.0 + e)
+        out = ng.sigmoid(Tensor(x)).data
+        assert np.max(np.abs(out - ref) / ref.clip(min=1e-300)) < 1e-15
+        assert out[-3] == 0.0 and out[-2] == 1.0 and out[-1] == 0.5
+
+
 class TestSoftmaxRows:
     def test_constant_row_is_uniform(self):
         out = ng.softmax_rows(Tensor([[7.0, 7.0, 7.0]]))

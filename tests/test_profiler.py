@@ -5,6 +5,7 @@ import pytest
 
 from hybridseq import numerics as ng
 from hybridseq import profiler as pf
+from hybridseq import ssm
 from hybridseq.model import (
     ARCH_BASELINE,
     ARCH_HYBRID,
@@ -112,6 +113,18 @@ class TestCountedCost:
         model = build(ARCH_HYBRID)
         seq = pf._sequence_for(model, 128, 8)
         assert counted_cost(model, seq) == counted_cost(model, seq)
+
+
+class TestBlockFlops:
+    @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+    @pytest.mark.parametrize("m", [1, ssm.SSD_CHUNK, 2 * ssm.SSD_CHUNK + 5])
+    def test_block_count_equals_analytic_term(self, variant, m):
+        # includes the zero rows that pad the chunked scan's last chunk
+        p = ssm.init_ssm_params(ng.new_rng(0), 8, variant, out_init_std=0.1)
+        x = Tensor(ng.new_rng(1).standard_normal((m, 8)))
+        with ng.no_grad(), ng.count_flops() as meter:
+            ssm.mamba_block_forward(p, x)
+        assert meter.total == pf._mamba_block_flops(m, 8, variant, p.n_state, p.n_heads)
 
 
 class TestFit:

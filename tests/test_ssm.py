@@ -7,10 +7,11 @@ import pytest
 
 from hybridseq import numerics as ng
 from hybridseq import ssm
-from hybridseq.numerics import ContractError, Tensor, backward, finite_diff_grad
+from hybridseq.numerics import ContractError, NumericError, Tensor, backward, finite_diff_grad
 from hybridseq.ssm import (
     MAMBA1,
     MAMBA2,
+    SSD_CHUNK,
     SSMParams,
     hippo_init,
     init_ssm_params,
@@ -439,3 +440,153 @@ class TestMambaBlock:
             outs = [scan_chunked_ssd(p, x, c).data for c in (8, 16, 32, 96)]
         for other in outs[1:]:
             assert np.max(np.abs(outs[0] - other)) < 1e-10
+
+
+def max_rel_diff(a, ref):
+    return float(np.max(np.abs(a - ref)) / max(1.0, float(np.max(np.abs(ref)))))
+
+
+class TestChunkedBlockScan:
+    """The mamba2 block's chunked scan: chaining across chunk boundaries and
+    agreement with the sequential oracle."""
+
+    T = 2 * SSD_CHUNK + 5
+
+    @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
+    @pytest.mark.parametrize("cut", [1, SSD_CHUNK - 1, SSD_CHUNK, SSD_CHUNK + 1, 2 * SSD_CHUNK + 4])
+    def test_block_state_chaining_across_chunks(self, variant, cut):
+        p = make_params(variant, d_model=4, seed=12)
+        x = ng.new_rng(36).standard_normal((self.T, 4))
+        with ng.no_grad():
+            y_full, st_full = mamba_block_forward(p, Tensor(x))
+            y1, st1 = mamba_block_forward(p, Tensor(x[:cut]))
+            y2, st2 = mamba_block_forward(p, Tensor(x[cut:]), st1)
+        assert np.array_equal(np.concatenate([y1.data, y2.data]), y_full.data)
+        assert np.array_equal(st2.h, st_full.h)
+        assert np.array_equal(st2.conv_tail, st_full.conv_tail)
+        assert st2.position == st_full.position == self.T
+
+    def test_chaining_in_many_pieces(self):
+        # the open chunk is carried through several calls: one-row calls,
+        # calls that stay inside a chunk and calls that close one
+        p = make_params(MAMBA2, d_model=4, seed=13)
+        x = ng.new_rng(37).standard_normal((self.T, 4))
+        cuts = [0, 1, 2, 9, SSD_CHUNK, SSD_CHUNK + 1, 100, self.T]
+        with ng.no_grad():
+            y_full, st_full = mamba_block_forward(p, Tensor(x))
+            st, ys = None, []
+            for lo, hi in zip(cuts, cuts[1:]):
+                y, st = mamba_block_forward(p, Tensor(x[lo:hi]), st)
+                ys.append(y.data)
+        assert np.array_equal(np.concatenate(ys), y_full.data)
+        assert np.array_equal(st.h, st_full.h)
+
+    @staticmethod
+    def _oracle_params():
+        p = make_params(MAMBA2, d_model=4, seed=16)
+        rng = ng.new_rng(71)
+        p.delta_bias = Tensor(np.log(np.expm1(rng.uniform(0.3, 0.9, p.n_delta))),
+                              requires_grad=True)
+        return p
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_block_scan_matches_sequential_oracle(self, carried):
+        p = self._oracle_params()
+        rng = ng.new_rng(72)
+        prefix = Tensor(rng.standard_normal((70, p.d_inner)))
+        x0 = rng.standard_normal((self.T, p.d_inner))
+        w = Tensor(rng.standard_normal((self.T, p.d_inner)))
+        st_seq, st_chk = None, ssm.init_state(p)
+        if carried:
+            with ng.no_grad():
+                _, st_seq = scan_sequential(p, prefix)
+                _, st_chk = ssm._ssd_scan(p, prefix, ssm.init_state(p), SSD_CHUNK)
+            assert st_chk.open_chunk is not None
+
+        with ng.no_grad():
+            y_seq, end_seq = scan_sequential(p, Tensor(x0), st_seq)
+            y_chk, end_chk = ssm._ssd_scan(p, Tensor(x0), st_chk, SSD_CHUNK)
+        assert max_rel_diff(y_chk.data, y_seq.data) < 1e-12
+        assert max_rel_diff(end_chk.h, end_seq.h) < 1e-12
+        assert end_chk.position == end_seq.position
+
+        names = ["w_delta", "delta_bias", "w_b", "w_c", "a_log"]
+
+        def grads(scan):
+            for name in names:
+                getattr(p, name).grad = None
+            xt = Tensor(x0, requires_grad=True)
+            backward(ng.tsum(ng.mul(scan(xt), w)))
+            return [xt.grad] + [getattr(p, name).grad for name in names]
+
+        g_seq = grads(lambda t: scan_sequential(p, t, st_seq)[0])
+        g_chk = grads(lambda t: ssm._ssd_scan(p, t, st_chk, SSD_CHUNK)[0])
+        for name, a, b in zip(["x"] + names, g_chk, g_seq):
+            assert max_rel_diff(a, b) < 1e-12, name
+
+    def test_chunk_groups_chain_values_and_gradients(self):
+        # a small chunk puts several chunk groups in one call: the state
+        # and its adjoint must pass between groups as between chunks
+        chunk = 3
+        T = 2 * ssm._SSD_GROUP * chunk + 5
+        p = self._oracle_params()
+        rng = ng.new_rng(73)
+        x0 = rng.standard_normal((T, p.d_inner))
+        w = Tensor(rng.standard_normal((T, p.d_inner)))
+        with ng.no_grad():
+            y_seq, end_seq = scan_sequential(p, Tensor(x0))
+            y_chk, end_chk = ssm._ssd_scan(p, Tensor(x0), ssm.init_state(p), chunk)
+            y1, mid = ssm._ssd_scan(p, Tensor(x0[:50]), ssm.init_state(p), chunk)
+            y2, end2 = ssm._ssd_scan(p, Tensor(x0[50:]), mid, chunk)
+        assert max_rel_diff(y_chk.data, y_seq.data) < 1e-12
+        assert max_rel_diff(end_chk.h, end_seq.h) < 1e-12
+        assert np.array_equal(np.concatenate([y1.data, y2.data]), y_chk.data)
+        assert np.array_equal(end2.h, end_chk.h)
+
+        grads = []
+        for scan in (lambda t: scan_sequential(p, t)[0],
+                     lambda t: ssm._ssd_scan(p, t, ssm.init_state(p), chunk)[0]):
+            p.a_log.grad = None
+            xt = Tensor(x0, requires_grad=True)
+            backward(ng.tsum(ng.mul(scan(xt), w)))
+            grads.append((xt.grad, p.a_log.grad))
+        assert max_rel_diff(grads[1][0], grads[0][0]) < 1e-12
+        assert max_rel_diff(grads[1][1], grads[0][1]) < 1e-12
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_overflow_names_its_token(self, grad):
+        # one row scaled far out of range: x*delta overflows at that token
+        # only; the masked intra-chunk product must not smear the bad value
+        # back to the start of its chunk
+        p = make_params(MAMBA2, d_model=4, seed=0)
+        x = ng.new_rng(0).standard_normal((100, p.d_inner))
+        x[70] *= 1e200
+        st = ssm.init_state(p)
+        with ng.no_grad():
+            _, st = ssm._ssd_scan(p, Tensor(ng.new_rng(1).standard_normal((37, p.d_inner))),
+                                  st, SSD_CHUNK)
+
+        def attempt(fn):
+            if grad:
+                fn(Tensor(x, requires_grad=True))
+            else:
+                with ng.no_grad():
+                    fn(Tensor(x))
+
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=r"at token 70$"):
+                attempt(lambda t: scan_sequential(p, t))
+            with pytest.raises(NumericError, match=r"at token 70$"):
+                attempt(lambda t: scan_chunked_ssd(p, t, 64))
+            with pytest.raises(NumericError, match=r"at token 107$"):
+                attempt(lambda t: ssm._ssd_scan(p, t, st, SSD_CHUNK))
+
+    def test_state_copy_is_deep(self):
+        p = make_params(MAMBA2, d_model=4, seed=17)
+        x = ng.new_rng(38).standard_normal((5, p.d_inner))
+        with ng.no_grad():
+            _, st = ssm._ssd_scan(p, Tensor(x), ssm.init_state(p), SSD_CHUNK)
+        cp = st.copy()
+        cp.open_chunk.da[0, 0] = 123.0
+        cp.open_chunk.h[0, 0, 0] = 123.0
+        assert st.open_chunk.da[0, 0] != 123.0 and st.open_chunk.h[0, 0, 0] != 123.0
