@@ -17,10 +17,14 @@ score matrix (the two paths then diverge only through their softmax
 normalization sets).
 
 Every op has two execution modes sharing one math definition: a graph-
-recording mode built from tensor primitives, and a row-blocked numpy mode
-used when gradients are off, which keeps peak memory bounded for very long
-video streams (a full score matrix is never materialized).  Both report
-identical FLOP counts to the meter.
+recording mode built from tensor primitives, and one numpy kernel,
+`_attend`, used when gradients are off.  `_attend` serves prefill, cross-
+attention and both decode branches.  It takes query rows in tiles of
+`SCORE_BUDGET // (n_heads * Lk)` rows, so its [n_heads, rows, Lk] score
+tile stays cache-sized at every key length, and it evaluates all heads of a
+tile with one batched matmul for the scores and one for the values.  The
+softmax is exact, and the full score rectangle is computed, masked
+entries included, so both modes report identical FLOP counts to the meter.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as ng
-from .numerics import ContractError, ShapeError, Tensor
+from .numerics import ContractError, NumericError, ShapeError, Tensor
 
 __all__ = [
     "AttentionParams",
@@ -47,7 +51,7 @@ __all__ = [
     "joint_text_scores",
 ]
 
-ROW_BLOCK = 2048  # fast-path row tile; bounds score-buffer memory at Lq*ROW_BLOCK
+SCORE_BUDGET = 1 << 18  # score elements per query tile of the no-grad kernel (2 MiB)
 
 
 @dataclass
@@ -188,37 +192,71 @@ def _mha_tape(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray) -> Tens
     return ng.matmul(merged, params.w_o)
 
 
-def _mha_fast(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray) -> Tensor:
-    """Row-blocked numpy attention; no graph, bounded peak memory."""
-    d, dh, nh = params.d, params.head_dim, params.n_heads
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """View [L, n_heads * head_dim] rows as [n_heads, L, head_dim]."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
+            allowed_upto: np.ndarray, what: str) -> np.ndarray:
+    """No-grad multi-head attention core; returns the merged heads, [Lq, d].
+
+    `qh` is [n_heads, Lq, head_dim], `kt` the keys transposed,
+    [n_heads, head_dim, Lk], and `vh` [n_heads, Lk, head_dim]; views are
+    fine.  Query row i sees key columns 0..allowed_upto[i].  Rows are taken
+    in tiles sized so that one [n_heads, rows, Lk] score tile holds at most
+    SCORE_BUDGET values.  Columns past a tile's last allowed column are
+    filled with -inf by slice, and only the [rows, last - first] band
+    between its first and last allowed column needs a boolean mask.
+    Raises NumericError naming `what` and the first query row whose output
+    is not finite.
+    """
+    nh, lq, dh = qh.shape
+    lk = kt.shape[2]
     scale = 1.0 / math.sqrt(dh)
+    rows = max(1, SCORE_BUDGET // (nh * lk))
+    col = np.arange(lk)
+    out = np.empty((lq, nh, dh))
+    for lo in range(0, lq, rows):
+        hi = min(lo + rows, lq)
+        allowed = allowed_upto[lo:hi]
+        first, last = int(allowed.min()) + 1, int(allowed.max()) + 1
+        s = np.matmul(qh[:, lo:hi], kt)
+        s *= scale
+        s[:, :, last:] = -np.inf
+        if first < last:
+            band = s[:, :, first:last]
+            band[:, col[None, first:last] > allowed[:, None]] = -np.inf
+        s -= s.max(axis=2, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=2, keepdims=True)
+        np.matmul(s, vh, out=out[lo:hi].transpose(1, 0, 2))
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(
+            f"{what}: non-finite output at query row {int(np.argmin(finite))}"
+        )
+    return out.reshape(lq, nh * dh)
+
+
+def _mha_fast(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
+              what: str) -> Tensor:
+    """No-grad attention through `_attend`; same FLOP counts as the tape."""
+    d, dh, nh = params.d, params.head_dim, params.n_heads
     lq = q_x.shape[0]
 
     q = q_x.data @ params.w_q.data
-    keys = np.concatenate([b.data for b in key_blocks], axis=0)
+    if len(key_blocks) == 1:
+        keys = key_blocks[0].data
+    else:
+        keys = np.concatenate([b.data for b in key_blocks], axis=0)
     k = keys @ params.w_k.data
     v = keys @ params.w_v.data
     lk = k.shape[0]
     ng.meter_add("matmul", 2.0 * (lq + 2 * lk) * d * d)
 
-    col = np.arange(lk)
-    out = np.empty((lq, d))
-    for h in range(nh):
-        q_h = q[:, h * dh : (h + 1) * dh]
-        k_h = k[:, h * dh : (h + 1) * dh]
-        v_h = v[:, h * dh : (h + 1) * dh]
-        for lo in range(0, lq, ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, lq)
-            scores = (q_h[lo:hi] @ k_h.T) * scale
-            blocked = col[None, :] > allowed_upto[lo:hi, None]
-            if blocked.any():
-                scores[blocked] = -np.inf
-            m = scores.max(axis=1, keepdims=True)
-            e = np.exp(scores - m)
-            if blocked.any():
-                e[blocked] = 0.0
-            p = e / e.sum(axis=1, keepdims=True)
-            out[lo:hi, h * dh : (h + 1) * dh] = p @ v_h
+    out = _attend(_heads(q, nh), _heads(k, nh).transpose(0, 2, 1), _heads(v, nh),
+                  allowed_upto, what)
     ng.meter_add("matmul", 2.0 * lq * lk * dh * nh * 2)
     ng.meter_add("softmax", ng.FLOP_COST["softmax"] * float(lq) * lk * nh)
     result = out @ params.w_o.data
@@ -226,10 +264,10 @@ def _mha_fast(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray) -> Tens
     return Tensor(result)
 
 
-def _mha(params, q_x, key_blocks, allowed_upto):
+def _mha(params, q_x, key_blocks, allowed_upto, what):
     if _recording(params, q_x, *key_blocks):
         return _mha_tape(params, q_x, key_blocks, allowed_upto)
-    return _mha_fast(params, q_x, key_blocks, allowed_upto)
+    return _mha_fast(params, q_x, key_blocks, allowed_upto, what)
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +281,7 @@ def causal_self_attention(params: AttentionParams, x: Tensor) -> Tensor:
     _check_width(params, x, "input")
     if x.shape[0] < 1:
         raise ContractError("causal_self_attention: need at least one position")
-    return _mha(params, x, [x], np.arange(x.shape[0]))
+    return _mha(params, x, [x], np.arange(x.shape[0]), "causal self-attention")
 
 
 def joint_causal_attention_text(
@@ -258,17 +296,15 @@ def joint_causal_attention_text(
         return causal_self_attention(params, text)
     _check_width(params, video, "video")
     allowed = m + np.arange(text.shape[0])
-    return _mha(params, text, [video, text], allowed)
+    return _mha(params, text, [video, text], allowed, "joint attention")
 
 
 def build_video_kv_cache(params_c: AttentionParams, video: Tensor) -> VideoKVCache:
     """Project video tokens once; the cache is shared by later decode steps."""
     _check_width(params_c, video, "video")
-    dh, nh = params_c.head_dim, params_c.n_heads
-    m = video.shape[0]
-    with ng.no_grad():
-        k = (video.data @ params_c.w_k.data).reshape(m, nh, dh).transpose(1, 0, 2)
-        v = (video.data @ params_c.w_v.data).reshape(m, nh, dh).transpose(1, 0, 2)
+    nh = params_c.n_heads
+    k = _heads(video.data @ params_c.w_k.data, nh)
+    v = _heads(video.data @ params_c.w_v.data, nh)
     return VideoKVCache(k=np.ascontiguousarray(k), v=np.ascontiguousarray(v))
 
 
@@ -290,23 +326,23 @@ def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
     _check_width(params_c, video, "video")
     n, m = text_q.shape[0], video.shape[0]
     allowed = np.full(n, m - 1)
-    return _mha(params_c, text_q, [video], allowed)
+    return _mha(params_c, text_q, [video], allowed, "cross-attention")
+
+
+def attend_cached(params: AttentionParams, x_ln: np.ndarray, k: np.ndarray,
+                  v: np.ndarray, what: str) -> np.ndarray:
+    """Unmetered attention of rows x_ln [n, d] over every cached key/value,
+    k and v [n_heads, L, head_dim]; returns [n, d]."""
+    q = x_ln @ params.w_q.data
+    out = _attend(_heads(q, params.n_heads), k.transpose(0, 2, 1), v,
+                  np.full(q.shape[0], k.shape[1] - 1), what)
+    return out @ params.w_o.data
 
 
 def _cross_from_cache(params_c, text_q: Tensor, cache: VideoKVCache) -> Tensor:
     d, dh, nh = params_c.d, params_c.head_dim, params_c.n_heads
-    scale = 1.0 / math.sqrt(dh)
     n = text_q.shape[0]
-    with ng.no_grad():
-        q = text_q.data @ params_c.w_q.data
-        out = np.empty((n, d))
-        for h in range(nh):
-            scores = (q[:, h * dh : (h + 1) * dh] @ cache.k[h].T) * scale
-            mx = scores.max(axis=1, keepdims=True)
-            e = np.exp(scores - mx)
-            p = e / e.sum(axis=1, keepdims=True)
-            out[:, h * dh : (h + 1) * dh] = p @ cache.v[h]
-        result = out @ params_c.w_o.data
+    result = attend_cached(params_c, text_q.data, cache.k, cache.v, "cross-attention")
     ng.meter_add("matmul", 2.0 * n * d * d * 2 + 2.0 * n * cache.m * dh * nh * 2)
     ng.meter_add("softmax", ng.FLOP_COST["softmax"] * float(n) * cache.m * nh)
     return Tensor(result)
@@ -338,16 +374,9 @@ def blended_text_update(
 
 
 def _scores_per_head(params: AttentionParams, q_x: np.ndarray, k_x: np.ndarray):
-    dh, nh = params.head_dim, params.n_heads
-    scale = 1.0 / math.sqrt(dh)
-    q = q_x @ params.w_q.data
-    k = k_x @ params.w_k.data
-    return np.stack(
-        [
-            (q[:, h * dh : (h + 1) * dh] @ k[:, h * dh : (h + 1) * dh].T) * scale
-            for h in range(nh)
-        ]
-    )
+    q = _heads(q_x @ params.w_q.data, params.n_heads)
+    k = _heads(k_x @ params.w_k.data, params.n_heads)
+    return np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(params.head_dim))
 
 
 def cross_attention_scores(

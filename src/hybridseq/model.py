@@ -14,9 +14,10 @@ updates the two roles:
   by definition, so decoding leaves the state-space path untouched.
 
 Prefill runs the whole prompt once and returns a `DecodeContext` carrying
-per-layer video key/value caches, text self-attention caches, and final
-scan states; `decode_step` then extends the text stream one token at a
-time against those caches.
+per-layer video key/value caches and text self-attention caches;
+`decode_step` then extends the text stream one token at a time against
+those caches, returning a new context and leaving the one it was given
+unchanged.
 """
 
 from __future__ import annotations
@@ -504,21 +505,68 @@ def text_logits(model: Model, seq: TokenSequence) -> Tensor:
 
 
 @dataclass
+class TextRows:
+    """Text keys/values shared by the contexts of one decode line.
+
+    `k` and `v` are [n_heads, capacity, head_dim]; rows 0..filled-1 are
+    written, and a written row never changes.
+    """
+
+    k: np.ndarray
+    v: np.ndarray
+    filled: int
+
+
+@dataclass
 class LayerCache:
+    """One layer's caches as one context sees them: the read-only video
+    keys/values and the first `n` rows of a text key/value buffer."""
+
     video_kv: VideoKVCache | None  # hybrid cross keys/values (immutable)
-    text_k: np.ndarray  # [n_heads, T_text, head_dim] (baseline: joint stream)
-    text_v: np.ndarray
+    rows: TextRows
+    n: int
+
+    @property
+    def text_k(self) -> np.ndarray:  # [n_heads, n, head_dim] (baseline: joint stream)
+        return self.rows.k[:, : self.n]
+
+    @property
+    def text_v(self) -> np.ndarray:
+        return self.rows.v[:, : self.n]
+
+    def extended(self, k_new: np.ndarray, v_new: np.ndarray) -> "LayerCache":
+        """This cache plus one row ([n_heads, 1, head_dim] each), as a new one.
+
+        The row goes into the shared buffer when the buffer has room and no
+        other context has written past row n; otherwise the n rows move to
+        a new buffer of twice the size.  So appending costs O(1) amortized,
+        and branches from one context never see each other's rows.
+        """
+        rows, n = self.rows, self.n
+        if rows.filled != n or n == rows.k.shape[1]:
+            k = np.empty((rows.k.shape[0], 2 * n, rows.k.shape[2]))
+            v = np.empty_like(k)
+            k[:, :n] = rows.k[:, :n]
+            v[:, :n] = rows.v[:, :n]
+            rows = TextRows(k, v, n)
+        rows.k[:, n] = k_new[:, 0]
+        rows.v[:, n] = v_new[:, 0]
+        rows.filled = n + 1
+        return LayerCache(self.video_kv, rows, n + 1)
 
 
 @dataclass
 class DecodeContext:
-    """Everything needed to extend the text stream one token at a time."""
+    """Everything needed to extend the text stream one token at a time.
+
+    `decode_step` never changes what a context sees, so any number of
+    continuations can branch from one prefill.
+    """
 
     arch: str
     m: int
     n_text: int
     caches: list[LayerCache]
-    ssm_states: list[SSMState | None]
 
 
 def _kv_heads(params: AttentionParams, x_ln: np.ndarray):
@@ -526,21 +574,6 @@ def _kv_heads(params: AttentionParams, x_ln: np.ndarray):
     k = (x_ln @ params.w_k.data).reshape(-1, nh, dh).transpose(1, 0, 2)
     v = (x_ln @ params.w_v.data).reshape(-1, nh, dh).transpose(1, 0, 2)
     return np.ascontiguousarray(k), np.ascontiguousarray(v)
-
-
-def _attend_cached(params: AttentionParams, x_ln_row: np.ndarray,
-                   k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Single-query attention of one row against cached keys/values."""
-    nh, dh = params.n_heads, params.head_dim
-    scale = 1.0 / math.sqrt(dh)
-    q = (x_ln_row @ params.w_q.data).reshape(nh, dh)
-    out = np.empty(params.d)
-    for h in range(nh):
-        s = (k[h] @ q[h]) * scale
-        e = np.exp(s - s.max())
-        p = e / e.sum()
-        out[h * dh : (h + 1) * dh] = p @ v[h]
-    return out @ params.w_o.data
 
 
 def _layer_norm_np(x: np.ndarray, norm: NormParams, eps: float = 1e-6) -> np.ndarray:
@@ -559,12 +592,11 @@ def _mlp_np(mlp: MLPParams, x: np.ndarray) -> np.ndarray:
 def prefill(model: Model, seq: TokenSequence):
     """Forward over the whole prompt; returns (last-position logits, context).
 
-    The context carries per-layer video key/value caches, the text-side
-    self-attention keys/values for positions 1..N, and the final scan
-    states.  Runs without graph recording."""
+    The context carries per-layer video key/value caches and the text-side
+    self-attention keys/values for positions 1..N.  Runs without graph
+    recording."""
     m, n = seq.m, seq.n
     caches: list[LayerCache] = []
-    states: list[SSMState | None] = []
     with ng.no_grad():
         cur = seq
         for layer in model.layers:
@@ -572,9 +604,8 @@ def prefill(model: Model, seq: TokenSequence):
             if model.config.architecture == ARCH_BASELINE:
                 x_ln = _layer_norm_np(x.data, layer.attn_norm)
                 k, v = _kv_heads(layer.self_attn, x_ln)
-                caches.append(LayerCache(video_kv=None, text_k=k, text_v=v))
+                caches.append(LayerCache(None, TextRows(k, v, k.shape[1]), k.shape[1]))
                 cur = baseline_layer_forward(layer, cur)
-                states.append(None)
             else:
                 x_ln = _layer_norm_np(x.data, layer.attn_norm)
                 if m > 0:
@@ -584,44 +615,43 @@ def prefill(model: Model, seq: TokenSequence):
                 else:
                     vid_cache = None
                 k, v = _kv_heads(layer.self_attn, x_ln[m:])
-                caches.append(LayerCache(video_kv=vid_cache, text_k=k, text_v=v))
-                cur, st = hybrid_layer_forward(layer, cur, None)
-                states.append(st)
+                caches.append(LayerCache(vid_cache, TextRows(k, v, n), n))
+                cur, _ = hybrid_layer_forward(layer, cur, None)
         h_last = cur.embeddings.data[m + n - 1 : m + n]
         h_last = _layer_norm_np(h_last, model.final_norm)
         logits = (h_last @ model.token_table.data.T)[0]
-    ctx = DecodeContext(arch=model.config.architecture, m=m, n_text=n,
-                        caches=caches, ssm_states=states)
+    ctx = DecodeContext(arch=model.config.architecture, m=m, n_text=n, caches=caches)
     return logits, ctx
 
 
 def decode_step(model: Model, ctx: DecodeContext, token_embedding):
     """Process one new text token against the cached context.
 
-    The cross branch costs O(M) against the frozen video cache, the self
-    branch O(N) against the growing text cache; scan states are untouched
-    because generated tokens are text-role."""
+    Returns (logits, the extended context).  The cross branch costs O(M)
+    against the frozen video cache, the self branch O(N) against the text
+    cache; generated tokens are text-role, so no scan runs.  `ctx` itself
+    is left unchanged, so several continuations can branch from it (see
+    `LayerCache.extended`)."""
     e = token_embedding.data if isinstance(token_embedding, Tensor) else np.asarray(token_embedding)
     x = e.reshape(1, model.config.d).astype(np.float64)
+    caches: list[LayerCache] = []
     with ng.no_grad():
         for layer, cache in zip(model.layers, ctx.caches):
             x_ln = _layer_norm_np(x, layer.attn_norm)
             k_new, v_new = _kv_heads(layer.self_attn, x_ln)
-            cache.text_k = np.concatenate([cache.text_k, k_new], axis=1)
-            cache.text_v = np.concatenate([cache.text_v, v_new], axis=1)
-            self_out = _attend_cached(layer.self_attn, x_ln[0], cache.text_k, cache.text_v)
+            grown = cache.extended(k_new, v_new)
+            caches.append(grown)
+            attn_out = attn.attend_cached(layer.self_attn, x_ln, grown.text_k, grown.text_v,
+                                          "causal self-attention")
             if ctx.arch == ARCH_HYBRID and cache.video_kv is not None:
                 cross = attn.cross_attention(layer.cross_attn, Tensor(x_ln), cache.video_kv)
                 a = float(1.0 / (1.0 + math.exp(-layer.self_attn.alpha_raw.item())))
-                attn_out = (1.0 - a) * cross.data[0] + a * self_out
-            else:
-                attn_out = self_out
+                attn_out = (1.0 - a) * cross.data + a * attn_out
             x = x + attn_out
             x = x + _mlp_np(layer.mlp, _layer_norm_np(x, layer.mlp_norm))
         h = _layer_norm_np(x, model.final_norm)
         logits = (h @ model.token_table.data.T)[0]
-    ctx.n_text += 1
-    return logits, ctx
+    return logits, DecodeContext(arch=ctx.arch, m=ctx.m, n_text=ctx.n_text + 1, caches=caches)
 
 
 def generate_greedy(model: Model, seq: TokenSequence, steps: int) -> list[int]:

@@ -35,7 +35,7 @@ from . import model as mod
 from . import numerics as ng
 from .model import ARCH_BASELINE, ARCH_HYBRID, BLOCK_NONE, Model
 from .numerics import ContractError, FLOP_COST
-from .ssm import EXPAND, SSD_CHUNK
+from .ssm import _SSD_GROUP, EXPAND, SSD_CHUNK
 
 __all__ = [
     "CostModel",
@@ -104,6 +104,26 @@ def _ssd_scan_flops(m: int, d_inner: int, n_heads: int, n_state: int, chunk: int
     fl += 2.0 * rows * d_inner * n  # readout of the carried-in state
     fl += rows * h + 2.0 * rows * d_inner  # its decay, and the sum of both outputs
     return fl
+
+
+def _ssd_scan_values(m: int, d_inner: int, n_heads: int, n_state: int, chunk: int) -> float:
+    """Values the chunked mamba2 scan keeps for its reverse pass over m rows
+    from a zero state: its inputs, each chunk's per-head decay matrices and
+    head-major tensors, and per chunk its contribution to the end state,
+    the boundary state and the chunk-start copy of it.  No per-step state
+    history is kept."""
+    h, n, q = n_heads, n_state, chunk
+    k = -(-m // q)
+    rows = k * q
+    vals = m * (4.0 * h + 2 * n + d_inner)  # delta (three stages), dA, B, C, x*delta
+    framed = int(rows > m)  # inputs padded to the chunk grid, y sliced back
+    grouped = int(k > _SSD_GROUP)  # inputs cut into chunk groups, y rejoined
+    vals += (framed + grouped) * rows * (h + 2.0 * n + d_inner)
+    vals += framed * m * d_inner + grouped * rows * d_inner
+    vals += rows * (4.0 * h * q + 2 * q)  # decay matrices per head, masked C B^T
+    vals += rows * (7.0 * d_inner + n + 6 * h)  # head-major copies, partial outputs
+    vals += 3.0 * k * d_inner * n  # chunk contributions, boundary states, starts
+    return vals
 
 
 def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: int) -> float:
@@ -187,7 +207,10 @@ class CostModel:
 
         The quadratic culprit is retained per layer: score and probability
         matrices of every head.  The hybrid instead retains M x N cross
-        scores, N^2 self scores, and the scan's per-step state history.
+        scores, N^2 self scores, and what its scan keeps for the reverse
+        pass: mamba1's sequential scan keeps its per-step state history,
+        mamba2's chunked scan per-chunk tensors and boundary states
+        (`_ssd_scan_values`).
         """
         d, h = self.d, self.n_heads
         r = m + n
@@ -201,9 +224,13 @@ class CostModel:
         per_layer += 6.0 * n * d + 2.0 * n * self.mlp_ratio * d + 2.0 * n * d
         if self.block_variant != BLOCK_NONE:
             d_inner = EXPAND * d
-            # recorded scan: decay, update and state tensors over all steps,
-            # plus conv/gate activations
-            per_layer += 3.0 * m * d_inner * self.n_state + 6.0 * m * d_inner
+            if self.block_variant == "mamba1":
+                # decay, update and state tensors over all steps
+                per_layer += 3.0 * m * d_inner * self.n_state
+            else:
+                per_layer += _ssd_scan_values(m, d_inner, self.n_heads_ssm,
+                                              self.n_state, SSD_CHUNK)
+            per_layer += 6.0 * m * d_inner  # conv/gate activations
             per_layer += 2.0 * m * d  # block ln + residual
         return vals + self.layers * per_layer
 

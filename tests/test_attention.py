@@ -1,10 +1,12 @@
 """Tests for self-, cross-, and blended attention paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hybridseq import attention as attn_mod
 from hybridseq import numerics as ng
 from hybridseq.attention import (
     AttentionParams,
@@ -19,7 +21,8 @@ from hybridseq.attention import (
     joint_causal_attention_text,
     joint_text_scores,
 )
-from hybridseq.numerics import ContractError, Tensor, backward, finite_diff_grad
+from hybridseq.numerics import ContractError, NumericError, Tensor, backward, finite_diff_grad
+from hybridseq.profiler import _attention_flops
 
 
 def rel_err(ad, fd):
@@ -346,3 +349,161 @@ def test_blended_flops_affine_in_m():
     d1 = (costs[1] - costs[0]) / (sizes[1] - sizes[0])
     d2 = (costs[4] - costs[3]) / (sizes[4] - sizes[3])
     assert abs(d1 - d2) / d2 < 0.05
+
+
+# --------------------------------------------------------------------------
+# The no-grad kernel `_attend` against the tape oracle
+# --------------------------------------------------------------------------
+
+TILE = 5  # query rows per tile, forced through SCORE_BUDGET
+TILE_LQ = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1]
+
+
+def force_tile(monkeypatch, n_heads, lk, rows=TILE):
+    monkeypatch.setattr(attn_mod, "SCORE_BUDGET", n_heads * lk * rows)
+
+
+def fast_and_tape(run, *arrays):
+    with ng.no_grad():
+        fast = run(*(Tensor(a) for a in arrays))
+    taped = run(*(Tensor(a, requires_grad=True) for a in arrays))
+    return fast.data, taped.data
+
+
+class TestAttendCore:
+    @pytest.mark.parametrize("lq", TILE_LQ)
+    def test_causal_matches_tape(self, monkeypatch, lq):
+        p = make_params(seed=140, d=8, n_heads=2)
+        force_tile(monkeypatch, 2, lq)
+        x = ng.new_rng(141).standard_normal((lq, 8))
+        fast, taped = fast_and_tape(lambda t: causal_self_attention(p, t), x)
+        assert np.max(np.abs(fast - taped)) < 1e-13
+
+    @pytest.mark.parametrize("lq", TILE_LQ)
+    def test_joint_matches_tape(self, monkeypatch, lq):
+        p = make_params(seed=142, d=8, n_heads=2)
+        m = 7
+        force_tile(monkeypatch, 2, m + lq)
+        rng = ng.new_rng(143)
+        video, text = rng.standard_normal((m, 8)), rng.standard_normal((lq, 8))
+        fast, taped = fast_and_tape(
+            lambda v, t: joint_causal_attention_text(p, v, t), video, text
+        )
+        assert np.max(np.abs(fast - taped)) < 1e-13
+
+    @pytest.mark.parametrize("lq", TILE_LQ)
+    def test_cross_matches_tape(self, monkeypatch, lq):
+        p = make_params(seed=144, d=8, n_heads=2)
+        m = 9
+        force_tile(monkeypatch, 2, m)
+        rng = ng.new_rng(145)
+        video, text = rng.standard_normal((m, 8)), rng.standard_normal((lq, 8))
+        fast, taped = fast_and_tape(lambda v, t: cross_attention(p, t, v), video, text)
+        assert np.max(np.abs(fast - taped)) < 1e-13
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_monotone_allowed_matches_tape(self, monkeypatch, seed):
+        p = make_params(seed=146 + seed, d=8, n_heads=2)
+        rng = ng.new_rng(150 + seed)
+        lq, lk = 2 * TILE + 1, 12
+        force_tile(monkeypatch, 2, lk)
+        q, keys = rng.standard_normal((lq, 8)), rng.standard_normal((lk, 8))
+        allowed = rng.integers(0, lk, size=lq)
+        assert np.any(np.diff(allowed) < 0)
+        with ng.no_grad():
+            fast = attn_mod._mha_fast(p, Tensor(q), [Tensor(keys)], allowed, "test")
+        taped = attn_mod._mha_tape(p, Tensor(q, requires_grad=True),
+                                   [Tensor(keys, requires_grad=True)], allowed)
+        assert np.max(np.abs(fast.data - taped.data)) < 1e-13
+
+    @pytest.mark.parametrize("perturbed", [2 * TILE, TILE + 2])
+    def test_prefix_invariance_across_tiles(self, monkeypatch, perturbed):
+        # the perturbed row lies in a later tile than the checked rows, or
+        # in the same tile as the last few of them
+        p = make_params(seed=155, d=8, n_heads=2)
+        lq = 3 * TILE
+        force_tile(monkeypatch, 2, lq)
+        x = ng.new_rng(156).standard_normal((lq, 8))
+        x2 = x.copy()
+        x2[perturbed] += 1.5
+        with ng.no_grad():
+            y1 = causal_self_attention(p, Tensor(x)).data
+            y2 = causal_self_attention(p, Tensor(x2)).data
+        assert np.array_equal(y1[:perturbed], y2[:perturbed])
+        assert not np.array_equal(y1[perturbed:], y2[perturbed:])
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_decode_cross_branch_equals_inline(self, n_rows):
+        p = make_params(seed=157, d=16, n_heads=4)
+        rng = ng.new_rng(158)
+        video, text = rng.standard_normal((40, 16)), rng.standard_normal((n_rows, 16))
+        cache = build_video_kv_cache(p, Tensor(video))
+        with ng.no_grad():
+            via_cache = cross_attention(p, Tensor(text), cache)
+            inline = cross_attention(p, Tensor(text), Tensor(video))
+        assert np.array_equal(via_cache.data, inline.data)
+
+    def test_decode_self_branch_equals_inline(self):
+        # the decode self branch: the newest row against every cached key
+        p = make_params(seed=159, d=16, n_heads=4)
+        x_ln = ng.new_rng(160).standard_normal((30, 16))
+        cache = build_video_kv_cache(p, Tensor(x_ln))
+        branch = attn_mod.attend_cached(p, x_ln[-1:], cache.k, cache.v, "test")
+        with ng.no_grad():
+            inline = cross_attention(p, Tensor(x_ln[-1:]), Tensor(x_ln))
+            causal_last = attn_mod._mha_fast(p, Tensor(x_ln[-1:]), [Tensor(x_ln)],
+                                             np.array([29]), "test")
+        assert np.array_equal(branch, inline.data)
+        assert np.array_equal(branch, causal_last.data)
+
+    @pytest.mark.parametrize("path", ["self", "joint", "cross"])
+    def test_metered_flops_equal_closed_form(self, monkeypatch, path):
+        d, h, m, n = 16, 4, 13, 2 * TILE + 1
+        p = make_params(seed=161, d=d, n_heads=h)
+        force_tile(monkeypatch, h, m + n)
+        rng = ng.new_rng(162)
+        video, text = Tensor(rng.standard_normal((m, d))), Tensor(rng.standard_normal((n, d)))
+        with ng.no_grad(), ng.count_flops() as meter:
+            if path == "self":
+                causal_self_attention(p, text)
+            elif path == "joint":
+                joint_causal_attention_text(p, video, text)
+            else:
+                cross_attention(p, text, video)
+        lk = {"self": n, "joint": m + n, "cross": m}[path]
+        assert meter.total == _attention_flops(n, lk, d, h)
+
+    def test_causal_peak_memory_bounded(self):
+        p = make_params(seed=163, d=64, n_heads=4)
+        x = Tensor(ng.new_rng(164).standard_normal((4096, 64)))
+        tracemalloc.start()
+        try:
+            with ng.no_grad():
+                causal_self_attention(p, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_non_finite_output_names_component_and_row(self):
+        p = make_params(seed=165, d=8, n_heads=2)
+        x = ng.new_rng(166).standard_normal((6, 8))
+        q = x @ p.w_q.data
+        k = x @ p.w_k.data
+        v = x @ p.w_v.data
+        q[3, 1] = np.inf  # a bad query spoils its own row only
+        with pytest.raises(NumericError, match="causal self-attention.*query row 3"), \
+                np.errstate(invalid="ignore"):
+            attn_mod._attend(attn_mod._heads(q, 2), attn_mod._heads(k, 2).transpose(0, 2, 1),
+                             attn_mod._heads(v, 2), np.arange(6), "causal self-attention")
+
+    def test_nan_weight_raises_instead_of_nan_output(self):
+        p = make_params(seed=167, d=8, n_heads=2)
+        p.w_v.data = p.w_v.data.copy()
+        p.w_v.data[2, 3] = np.nan  # as a checkpoint load can leave it
+        text = Tensor(ng.new_rng(168).standard_normal((3, 8)))
+        with ng.no_grad():
+            with pytest.raises(NumericError, match="causal self-attention.*query row 0"):
+                causal_self_attention(p, text)
+            with pytest.raises(NumericError, match="cross-attention.*query row 0"):
+                cross_attention(p, text, build_video_kv_cache(p, text))

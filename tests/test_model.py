@@ -419,3 +419,62 @@ class TestHybridFromBaseline:
             hybrid_from_baseline(
                 build_model(small_config(), seed=41), small_config(), seed=42
             )
+
+
+class TestDecodeBranching:
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_branches_equal_independent_prefills(self, arch):
+        cfg = small_config(arch=arch)
+        model = build_model(cfg, seed=45, mamba_out_std=0.2)
+        seq = random_sequence(model, m=6, n=3, seed=46)
+        first = model.token_table.data[5]
+        # branch from the prefill's context and from a decoded one, whose
+        # text buffers have room for the first branch to write into
+        for decoded in (0, 1):
+            _, shared = prefill(model, seq)
+            for _ in range(decoded):
+                _, shared = decode_step(model, shared, first)
+            # step the two branches in turn, so each writes between the
+            # other's steps
+            firsts = [decode_step(model, shared, model.token_table.data[tok])
+                      for tok in (2, 9)]
+            branches = [(logits, decode_step(model, ctx, model.token_table.data[tok + 1])[0])
+                        for tok, (logits, ctx) in zip((2, 9), firsts)]
+            assert shared.n_text == seq.n + decoded
+            for tok, (l1, l2) in zip((2, 9), branches):
+                _, fresh = prefill(model, random_sequence(model, m=6, n=3, seed=46))
+                for _ in range(decoded):
+                    _, fresh = decode_step(model, fresh, first)
+                f1, fresh = decode_step(model, fresh, model.token_table.data[tok])
+                f2, _ = decode_step(model, fresh, model.token_table.data[tok + 1])
+                assert np.array_equal(l1, f1) and np.array_equal(l2, f2)
+
+    def test_decode_leaves_the_given_context_unchanged(self):
+        model = build_model(small_config(), seed=47)
+        _, ctx = prefill(model, random_sequence(model, m=4, n=2, seed=48))
+        seen = [(c.text_k.copy(), c.text_v.copy()) for c in ctx.caches]
+        _, nxt = decode_step(model, ctx, model.token_table.data[1])
+        _, sibling = decode_step(model, ctx, model.token_table.data[2])
+        for _ in range(5):  # past the first doubling of the text buffers
+            _, nxt = decode_step(model, nxt, model.token_table.data[3])
+        for (k, v), old, a, b in zip(seen, ctx.caches, nxt.caches, sibling.caches):
+            assert np.array_equal(old.text_k, k) and np.array_equal(old.text_v, v)
+            assert a.video_kv is old.video_kv and b.video_kv is old.video_kv
+            assert a.text_k.shape[1] == 8 and b.text_k.shape[1] == 3
+            assert np.array_equal(a.text_k[:, :2], k) and np.array_equal(b.text_k[:, :2], k)
+            assert not np.array_equal(a.text_k[:, 2], b.text_k[:, 2])
+
+
+class TestNonFiniteAttention:
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_nan_weight_makes_prefill_and_decode_raise(self, arch):
+        model = build_model(small_config(arch=arch), seed=49)
+        seq = random_sequence(model, m=4, n=3, seed=50)
+        _, ctx = prefill(model, seq)
+        w_v = model.layers[1].self_attn.w_v
+        w_v.data = w_v.data.copy()
+        w_v.data[0, 1] = np.nan  # as a checkpoint load can leave it
+        with pytest.raises(ng.NumericError, match="attention.*query row 0"):
+            prefill(model, seq)
+        with pytest.raises(ng.NumericError, match="attention.*query row 0"):
+            decode_step(model, ctx, model.token_table.data[1])

@@ -1,8 +1,11 @@
 """Tests for cost models, counting, memory estimates, and fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hybridseq import model as mod
 from hybridseq import numerics as ng
 from hybridseq import profiler as pf
 from hybridseq import ssm
@@ -266,3 +269,42 @@ def test_wall_clock_slopes_separate():
     fit_b = fit_scaling_exponent(by_arch["transformer_baseline"])
     assert fit_h.slope < fit_b.slope
     assert fit_b.slope > 1.3
+
+
+class TestScanMemory:
+    """The mamba2 memory charge against what a recorded forward keeps."""
+
+    @pytest.mark.parametrize("t", [256, 1000, 1100])
+    def test_ssd_scan_values_match_what_the_graph_keeps(self, t):
+        # 1000 rows pad the last chunk; 1100 rows also cut the chunks into groups
+        params = ssm.init_ssm_params(ng.new_rng(0), 64, "mamba2")
+        x = Tensor(ng.new_rng(1).standard_normal((t, params.d_inner)) * 0.5,
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            y, _ = ssm._ssd_scan(params, x, ssm.init_state(params), ssm.SSD_CHUNK)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        est = 8 * pf._ssd_scan_values(t, params.d_inner, params.n_heads,
+                                      params.n_state, ssm.SSD_CHUNK)
+        assert 0.9 < est / kept < 1.1, f"estimate {est / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_estimate_tracks_recorded_forward(self, m):
+        # the estimate counts the retained activations only, so it sits below
+        # the measured peak, by the same margin on both architectures
+        ratios = {}
+        for arch in (ARCH_HYBRID, ARCH_BASELINE):
+            model = build(arch)
+            seq = pf._sequence_for(model, m, 64)
+            tracemalloc.start()
+            try:
+                out = mod.text_logits(model, seq)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del out
+            ratios[arch] = 8 * memory_estimate(model, m, 64) / peak
+        assert 0.4 < ratios[ARCH_HYBRID] < 1.0
+        assert 0.75 < ratios[ARCH_HYBRID] / ratios[ARCH_BASELINE] < 1.25
