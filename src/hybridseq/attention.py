@@ -240,7 +240,7 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
 
 
 def _mha_fast(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
-              what: str) -> Tensor:
+              what: str, kv_sink: list | None = None) -> Tensor:
     """No-grad attention through `_attend`; same FLOP counts as the tape."""
     d, dh, nh = params.d, params.head_dim, params.n_heads
     lq = q_x.shape[0]
@@ -254,9 +254,11 @@ def _mha_fast(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
     v = keys @ params.w_v.data
     lk = k.shape[0]
     ng.meter_add("matmul", 2.0 * (lq + 2 * lk) * d * d)
+    kh, vh = _heads(k, nh), _heads(v, nh)
+    if kv_sink is not None:
+        kv_sink.append((kh, vh))
 
-    out = _attend(_heads(q, nh), _heads(k, nh).transpose(0, 2, 1), _heads(v, nh),
-                  allowed_upto, what)
+    out = _attend(_heads(q, nh), kh.transpose(0, 2, 1), vh, allowed_upto, what)
     ng.meter_add("matmul", 2.0 * lq * lk * dh * nh * 2)
     ng.meter_add("softmax", ng.FLOP_COST["softmax"] * float(lq) * lk * nh)
     result = out @ params.w_o.data
@@ -264,10 +266,12 @@ def _mha_fast(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
     return Tensor(result)
 
 
-def _mha(params, q_x, key_blocks, allowed_upto, what):
+def _mha(params, q_x, key_blocks, allowed_upto, what, kv_sink=None):
     if _recording(params, q_x, *key_blocks):
+        if kv_sink is not None:
+            raise ContractError(f"{what}: a key/value sink needs gradients off")
         return _mha_tape(params, q_x, key_blocks, allowed_upto)
-    return _mha_fast(params, q_x, key_blocks, allowed_upto, what)
+    return _mha_fast(params, q_x, key_blocks, allowed_upto, what, kv_sink)
 
 
 # --------------------------------------------------------------------------
@@ -275,13 +279,18 @@ def _mha(params, q_x, key_blocks, allowed_upto, what):
 # --------------------------------------------------------------------------
 
 
-def causal_self_attention(params: AttentionParams, x: Tensor) -> Tensor:
+def causal_self_attention(params: AttentionParams, x: Tensor,
+                          kv_sink: list | None = None) -> Tensor:
     """Multi-head causal self-attention over x [L, d]; position i attends
-    to positions 1..i, scaled by 1/sqrt(head_dim)."""
+    to positions 1..i, scaled by 1/sqrt(head_dim).
+
+    With gradients off, `kv_sink` (a list) receives the keys and values the
+    call projects, as one (k, v) pair of [n_heads, L, head_dim] arrays; this
+    is how prefill fills its decode caches without projecting twice."""
     _check_width(params, x, "input")
     if x.shape[0] < 1:
         raise ContractError("causal_self_attention: need at least one position")
-    return _mha(params, x, [x], np.arange(x.shape[0]), "causal self-attention")
+    return _mha(params, x, [x], np.arange(x.shape[0]), "causal self-attention", kv_sink)
 
 
 def joint_causal_attention_text(
@@ -300,11 +309,14 @@ def joint_causal_attention_text(
 
 
 def build_video_kv_cache(params_c: AttentionParams, video: Tensor) -> VideoKVCache:
-    """Project video tokens once; the cache is shared by later decode steps."""
+    """Project video tokens once; the cache serves the prefill's cross branch
+    and every later decode step.  Meters the two projections, which
+    `cross_attention` does not repeat when it reads a cache."""
     _check_width(params_c, video, "video")
-    nh = params_c.n_heads
+    nh, d = params_c.n_heads, params_c.d
     k = _heads(video.data @ params_c.w_k.data, nh)
     v = _heads(video.data @ params_c.w_v.data, nh)
+    ng.meter_add("matmul", 2.0 * 2 * video.shape[0] * d * d)
     return VideoKVCache(k=np.ascontiguousarray(k), v=np.ascontiguousarray(v))
 
 
@@ -312,7 +324,7 @@ def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
     """Every text query attends over all video keys/values (non-causal).
 
     `video` may be a [M, d] tensor (keys/values computed inline, so
-    gradients flow) or a prebuilt VideoKVCache (decode path).
+    gradients flow) or a prebuilt VideoKVCache (prefill and decode).
     """
     _check_width(params_c, text_q, "text")
     if isinstance(video, VideoKVCache):
@@ -354,16 +366,20 @@ def blended_text_update(
     alpha,
     video: Tensor,
     text: Tensor,
+    kv_sink: list | None = None,
 ) -> Tensor:
     """Hybrid text update: (1 - alpha) * cross-attention + alpha * causal
-    self-attention, with one scalar blend weight shared by the layer."""
+    self-attention, with one scalar blend weight shared by the layer.
+
+    `video` is a [M, d] tensor or a VideoKVCache; `kv_sink` goes to the self
+    branch (see `causal_self_attention`)."""
     m = video.m if isinstance(video, VideoKVCache) else video.shape[0]
     if m < 1:
         raise ContractError("blended_text_update requires at least one video token")
     if text.shape[0] < 1:
         raise ContractError("blended_text_update requires at least one text token")
     cross = cross_attention(params_c, text, video)
-    self_o = causal_self_attention(params_s, text)
+    self_o = causal_self_attention(params_s, text, kv_sink)
     one_minus = ng.sub(1.0, alpha)
     return ng.add(ng.mul(one_minus, cross), ng.mul(alpha, self_o))
 

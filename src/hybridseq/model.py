@@ -418,21 +418,33 @@ def _mlp_forward(mlp: MLPParams, x: Tensor) -> Tensor:
     return ng.add(ng.matmul(ng.gelu(h), mlp.w2), mlp.b2)
 
 
-def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | None):
+def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | None,
+                         cache_sink: list | None = None):
     """One hybrid layer: scan for video rows, blended attention + MLP for text.
 
     Cross-attention keys/values come from the layer-input video rows passed
     through the same pre-attention norm as the text rows, mirroring the
     baseline's shared pre-LN; the video rows themselves are updated only by
     the state-space block (or left unchanged when the block is absent).
+
+    With `cache_sink` (a list, gradients off) the layer appends its
+    `LayerCache`: the video keys/values, built once from the normed video
+    rows and read by the cross branch, and the text keys/values the self
+    branch projects.  Nothing is projected twice.
     """
     m, n = seq.m, seq.n
     x = seq.embeddings
     x_t = ng.slice_rows(x, m, m + n) if m > 0 else x
+    kv = [] if cache_sink is not None else None
 
     new_state = state
+    video = None
     if m > 0:
         x_v = ng.slice_rows(x, 0, m)
+        video = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
+        if kv is not None:
+            # built before the block's temporaries, like the scan's h_final
+            video = attn.build_video_kv_cache(layer.cross_attn, video)
         if layer.mamba is not None:
             v_out, new_state = ssm_mod.mamba_block_forward(layer.mamba, x_v, state)
         else:
@@ -440,15 +452,16 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | Non
 
     x_t_ln = ng.layer_norm(x_t, layer.attn_norm.gain, layer.attn_norm.bias)
     if m > 0:
-        x_v_ln = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
         alpha = ng.sigmoid(layer.self_attn.alpha_raw)
         attn_out = attn.blended_text_update(
-            layer.self_attn, layer.cross_attn, alpha, x_v_ln, x_t_ln
+            layer.self_attn, layer.cross_attn, alpha, video, x_t_ln, kv
         )
     else:
         # text-only sequence: the cross branch is undefined, blend weight is
         # implicitly 1 and the update is pure causal self-attention
-        attn_out = attn.causal_self_attention(layer.self_attn, x_t_ln)
+        attn_out = attn.causal_self_attention(layer.self_attn, x_t_ln, kv)
+    if kv is not None:
+        cache_sink.append(LayerCache(video, TextRows(*kv[0], n), n))
     t_mid = ng.add(x_t, attn_out)
     t_out = ng.add(
         t_mid, _mlp_forward(layer.mlp, ng.layer_norm(t_mid, layer.mlp_norm.gain, layer.mlp_norm.bias))
@@ -458,31 +471,39 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | Non
     return TokenSequence(embeddings=emb, roles=seq.roles), new_state
 
 
-def baseline_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
+def baseline_layer_forward(layer: Layer, seq: TokenSequence,
+                           cache_sink: list | None = None) -> TokenSequence:
     """One baseline layer: causal attention plus MLP over the full stream.
 
     With the video-first layout, the single causal mask gives video token i
     attention over video 1..i and text token j attention over all video
-    plus text 1..j."""
+    plus text 1..j.  With `cache_sink` (gradients off) the layer appends its
+    `LayerCache`: the keys/values of the joint stream."""
     x = seq.embeddings
     x_ln = ng.layer_norm(x, layer.attn_norm.gain, layer.attn_norm.bias)
-    x = ng.add(x, attn.causal_self_attention(layer.self_attn, x_ln))
+    kv = [] if cache_sink is not None else None
+    x = ng.add(x, attn.causal_self_attention(layer.self_attn, x_ln, kv))
+    if kv is not None:
+        rows = x.shape[0]
+        cache_sink.append(LayerCache(None, TextRows(*kv[0], rows), rows))
     x = ng.add(
         x, _mlp_forward(layer.mlp, ng.layer_norm(x, layer.mlp_norm.gain, layer.mlp_norm.bias))
     )
     return TokenSequence(embeddings=x, roles=seq.roles)
 
 
-def forward_hidden(model: Model, seq: TokenSequence):
-    """All layers; returns (final TokenSequence, final per-layer scan states)."""
+def forward_hidden(model: Model, seq: TokenSequence, cache_sink: list | None = None):
+    """All layers; returns (final TokenSequence, final per-layer scan states).
+
+    `cache_sink` is handed to every layer (see `hybrid_layer_forward`)."""
     states: list[SSMState | None] = []
     cur = seq
     for layer in model.layers:
         if model.config.architecture == ARCH_BASELINE:
-            cur = baseline_layer_forward(layer, cur)
+            cur = baseline_layer_forward(layer, cur, cache_sink)
             states.append(None)
         else:
-            cur, st = hybrid_layer_forward(layer, cur, None)
+            cur, st = hybrid_layer_forward(layer, cur, None, cache_sink)
             states.append(st)
     return cur, states
 
@@ -592,31 +613,15 @@ def _mlp_np(mlp: MLPParams, x: np.ndarray) -> np.ndarray:
 def prefill(model: Model, seq: TokenSequence):
     """Forward over the whole prompt; returns (last-position logits, context).
 
-    The context carries per-layer video key/value caches and the text-side
-    self-attention keys/values for positions 1..N.  Runs without graph
+    The layers run once, with a cache sink: each appends the video
+    key/value cache its cross branch read and the keys/values its self
+    branch projected (text rows on the hybrid, the joint stream on the
+    baseline), so the context costs no second pass.  Runs without graph
     recording."""
     m, n = seq.m, seq.n
     caches: list[LayerCache] = []
     with ng.no_grad():
-        cur = seq
-        for layer in model.layers:
-            x = cur.embeddings
-            if model.config.architecture == ARCH_BASELINE:
-                x_ln = _layer_norm_np(x.data, layer.attn_norm)
-                k, v = _kv_heads(layer.self_attn, x_ln)
-                caches.append(LayerCache(None, TextRows(k, v, k.shape[1]), k.shape[1]))
-                cur = baseline_layer_forward(layer, cur)
-            else:
-                x_ln = _layer_norm_np(x.data, layer.attn_norm)
-                if m > 0:
-                    vid_cache = attn.build_video_kv_cache(
-                        layer.cross_attn, Tensor(x_ln[:m])
-                    )
-                else:
-                    vid_cache = None
-                k, v = _kv_heads(layer.self_attn, x_ln[m:])
-                caches.append(LayerCache(vid_cache, TextRows(k, v, n), n))
-                cur, _ = hybrid_layer_forward(layer, cur, None)
+        cur, _ = forward_hidden(model, seq, caches)
         h_last = cur.embeddings.data[m + n - 1 : m + n]
         h_last = _layer_norm_np(h_last, model.final_norm)
         logits = (h_last @ model.token_table.data.T)[0]
@@ -655,14 +660,18 @@ def decode_step(model: Model, ctx: DecodeContext, token_embedding):
 
 
 def generate_greedy(model: Model, seq: TokenSequence, steps: int) -> list[int]:
-    """Greedy continuation of the text stream; returns the new token ids."""
+    """Greedy continuation of the text stream; returns the new token ids.
+
+    The oracle for `training.evaluate`, which reads the same verdict off one
+    teacher-forced forward.  The last token's logits are never read, so
+    `decode_step` runs steps - 1 times."""
     logits, ctx = prefill(model, seq)
     out = []
-    for _ in range(steps):
+    for i in range(steps):
         tok = int(np.argmax(logits))
         out.append(tok)
-        emb = model.token_table.data[tok]
-        logits, ctx = decode_step(model, ctx, emb)
+        if i + 1 < steps:
+            logits, ctx = decode_step(model, ctx, model.token_table.data[tok])
     return out
 
 
@@ -755,5 +764,7 @@ def load_checkpoint(path: str, expected_config: HybridStackConfig | None = None)
             raise ConfigError(
                 f"shape mismatch for {name}: checkpoint {loaded[name].shape}, config {t.shape}"
             )
+        if not np.all(np.isfinite(loaded[name])):
+            raise FormatError(f"checkpoint parameter {name} holds non-finite values")
         t.data = loaded[name]
     return model

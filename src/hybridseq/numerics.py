@@ -29,7 +29,6 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf as _erf
-from scipy.special import expit as _expit
 
 __all__ = [
     "Tensor",
@@ -739,8 +738,13 @@ def sigmoid(a) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # scipy's logistic is overflow-free in both tails and needs no masks.
-    return _expit(x)
+    # 1 / (1 + e^-x) in place, without masks: below x = -709 the exponential
+    # overflows to inf and 1 / inf is the exact limit, 0.
+    out = np.negative(x, out=np.empty(np.shape(x)))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def silu(a) -> Tensor:

@@ -577,21 +577,41 @@ def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
 
 
 def causal_conv4(params: SSMParams, xz: Tensor, tail: np.ndarray) -> Tensor:
-    """Depthwise causal convolution of width 4 over time.
+    """Depthwise causal convolution of width 4 over time, as one graph node.
 
     y[t] = sum_j conv_w[j] * x_full[t + j] where x_full prepends the 3-row
-    tail; conv_w's last row therefore multiplies the current token.
+    tail; conv_w's last row therefore multiplies the current token.  Tap
+    j reads its first min(3 - j, T) rows from the tail and the rest from
+    xz, and the taps are summed in place in the order ((t0 + t1) + t2) + t3,
+    so the output equals the op-by-op sum bit for bit.
     """
-    T = xz.shape[0]
-    x_full = ng.concat_rows([Tensor(tail), xz])
-    taps = []
+    x, w = xz.data, params.conv_w.data
+    T = x.shape[0]
+    y = np.empty_like(x)
+    tap = np.empty_like(x)
     for j in range(CONV_WIDTH):
-        w_j = ng.slice_rows(params.conv_w, j, j + 1)  # [1, d_inner] broadcasts
-        taps.append(ng.mul(ng.slice_rows(x_full, j, j + T), w_j))
-    y = taps[0]
-    for t in taps[1:]:
-        y = ng.add(y, t)
-    return y
+        k = min(CONV_WIDTH - 1 - j, T)
+        out = y if j == 0 else tap
+        np.multiply(tail[j : j + k], w[j], out=out[:k])
+        np.multiply(x[: T - k], w[j], out=out[k:])
+        if j:
+            y += tap
+    ng.meter_add("mul", ng.FLOP_COST["mul"] * CONV_WIDTH * x.size)
+    ng.meter_add("add", ng.FLOP_COST["add"] * (CONV_WIDTH - 1) * x.size)
+
+    def vjp(g):
+        gx = np.zeros_like(x)
+        gw = np.empty_like(w)
+        prod = np.empty_like(x)
+        for j in range(CONV_WIDTH):
+            k = min(CONV_WIDTH - 1 - j, T)
+            gx[: T - k] += g[k:] * w[j]
+            np.multiply(g[:k], tail[j : j + k], out=prod[:k])
+            np.multiply(g[k:], x[: T - k], out=prod[k:])
+            gw[j] = prod.sum(axis=0)
+        return gx, gw
+
+    return ng.custom_op(y, (xz, params.conv_w), vjp)
 
 
 def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = None):
@@ -608,15 +628,16 @@ def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = N
         )
     if state is None:
         state = init_state(params)
-    T = x.shape[0]
 
-    x_ln = ng.layer_norm(x, params.norm_gain, params.norm_bias)
-    proj = ng.matmul(x_ln, params.w_in)
+    proj = ng.matmul(ng.layer_norm(x, params.norm_gain, params.norm_bias), params.w_in)
     xz = ng.slice_cols(proj, 0, params.d_inner)
     gate = ng.slice_cols(proj, params.d_inner, 2 * params.d_inner)
-
-    conv_out = causal_conv4(params, xz, state.conv_tail)
-    u = ng.silu(conv_out)
+    # the last 3 raw branch inputs resume the convolution on the next call
+    conv_tail = np.concatenate([state.conv_tail, xz.data[1 - CONV_WIDTH:]])[1 - CONV_WIDTH:]
+    u = ng.silu(causal_conv4(params, xz, state.conv_tail))
+    # without grad nothing else holds these; letting them go before the scan
+    # lowers the block's peak (a recorded graph keeps them either way)
+    del proj, xz
 
     if params.variant == MAMBA2:
         y_ssm, new_state = _ssd_scan(params, u, state, SSD_CHUNK)
@@ -625,9 +646,5 @@ def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = N
 
     gated = ng.mul(y_ssm, ng.silu(gate))
     out = ng.matmul(gated, params.w_out)
-    y = ng.add(x, out)
-
-    # carry the last 3 raw branch inputs for seamless convolution chaining
-    stacked = np.concatenate([state.conv_tail, xz.data], axis=0)
-    new_state.conv_tail = stacked[stacked.shape[0] - (CONV_WIDTH - 1):].copy()
-    return y, new_state
+    new_state.conv_tail = conv_tail
+    return ng.add(x, out), new_state

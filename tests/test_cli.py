@@ -7,7 +7,7 @@ import pytest
 
 from hybridseq import cli
 from hybridseq.cli import UsageError, load_config_file, main, parse_grid
-from hybridseq.model import ConfigError, load_checkpoint
+from hybridseq.model import ConfigError, load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -157,6 +157,20 @@ class TestEvalCommand:
         bad.write_bytes(b"garbage")
         assert run(["eval", "--ckpt", str(bad), "--M", "6",
                     "--out", str(tmp_path / "x")]) == 3
+
+    def test_non_finite_checkpoint_exit_3(self, tmp_path, capsys):
+        out1 = str(tmp_path / "t")
+        assert run(BASE_TRAIN + ["--out", out1, "--seed", "6"]) == 0
+        ckpt = os.path.join(out1, "model.ckpt")
+        model = load_checkpoint(ckpt)
+        table = model.token_table
+        table.data = table.data.copy()
+        table.data[0, 0] = float("nan")
+        save_checkpoint(model, ckpt)
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--M", "6", "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert "embed.token_table" in err and "Traceback" not in err
 
 
 class TestBenchAnalyze:

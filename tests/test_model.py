@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hybridseq import attention as attn_mod
 from hybridseq import model as mod
 from hybridseq import numerics as ng
 from hybridseq import ssm as ssm_mod
@@ -271,6 +272,111 @@ class TestPrefillDecode:
         assert gen == ref_ids[len(ids):]
 
 
+def spy_on_projection(tensor, name, log):
+    """Swap a weight's array for a view that logs (name, rows) for every
+    matmul it is the right operand of."""
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[-1] is self:
+                log.append((name, inputs[0].shape[0]))
+            plain = tuple(a.view(np.ndarray) if isinstance(a, Spy) else a for a in inputs)
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    tensor.data = tensor.data.view(Spy)
+
+
+class TestPrefillWritesCaches:
+    """Prefill is the layer forward with a cache sink: one pass, metered."""
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_each_row_is_projected_once_per_layer(self, arch):
+        model = build_model(small_config(arch=arch), seed=71)
+        m, n = 7, 3
+        log = []
+        for i, layer in enumerate(model.layers):
+            for kind, params in (("self", layer.self_attn), ("cross", layer.cross_attn)):
+                if params is not None:
+                    spy_on_projection(params.w_k, f"{i}.{kind}.k", log)
+                    spy_on_projection(params.w_v, f"{i}.{kind}.v", log)
+        _, ctx = prefill(model, random_sequence(model, m=m, n=n, seed=72))
+        expected = []
+        for i in range(len(model.layers)):
+            if arch == ARCH_HYBRID:
+                expected += [(f"{i}.cross.k", m), (f"{i}.cross.v", m),
+                             (f"{i}.self.k", n), (f"{i}.self.v", n)]
+            else:
+                expected += [(f"{i}.self.k", m + n), (f"{i}.self.v", m + n)]
+        assert sorted(log) == sorted(expected)
+        rows = n if arch == ARCH_HYBRID else m + n
+        for c in ctx.caches:
+            assert c.text_k.shape[1] == rows and c.text_v.shape[1] == rows
+            assert (c.video_kv is None) == (arch == ARCH_BASELINE)
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_caches_hold_the_layer_inputs_keys_and_values(self, arch):
+        model = build_model(small_config(arch=arch), seed=73, mamba_out_std=0.2)
+        seq = random_sequence(model, m=6, n=4, seed=74)
+        _, ctx = prefill(model, seq)
+        cur = seq
+        with ng.no_grad():
+            for layer, cache in zip(model.layers, ctx.caches):
+                x_ln = ng.layer_norm(cur.embeddings, layer.attn_norm.gain,
+                                     layer.attn_norm.bias).data
+                sa, nh = layer.self_attn, layer.self_attn.n_heads
+                own = x_ln if arch == ARCH_BASELINE else x_ln[6:]
+                for got, w in ((cache.text_k, sa.w_k), (cache.text_v, sa.w_v)):
+                    heads = (own @ w.data).reshape(-1, nh, sa.head_dim).transpose(1, 0, 2)
+                    assert np.array_equal(got, heads)
+                if arch == ARCH_HYBRID:
+                    ref = attn_mod.build_video_kv_cache(layer.cross_attn, Tensor(x_ln[:6]))
+                    assert np.array_equal(cache.video_kv.k, ref.k)
+                    assert np.array_equal(cache.video_kv.v, ref.v)
+                    cur, _ = hybrid_layer_forward(layer, cur, None)
+                else:
+                    cur = baseline_layer_forward(layer, cur)
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_prefill_meters_what_the_forward_meters(self, arch):
+        model = build_model(small_config(arch=arch), seed=75)
+        seq = random_sequence(model, m=9, n=4, seed=76)
+        with ng.count_flops() as with_sink:
+            prefill(model, seq)
+        with ng.no_grad(), ng.count_flops() as without:
+            forward_hidden(model, seq)
+        assert with_sink.by_kind == without.by_kind
+
+    @pytest.mark.parametrize("arch,m,flops", [(ARCH_HYBRID, 1024, 385_278_106),
+                                              (ARCH_BASELINE, 512, 300_441_600)])
+    def test_prefill_flops_at_the_benchmark_shape(self, arch, m, flops):
+        cfg = HybridStackConfig(d=64, n_layers=2, n_heads=4, vocab_size=256, architecture=arch,
+                                block_variant="mamba2" if arch == ARCH_HYBRID else BLOCK_NONE)
+        model = build_model(cfg.validate(), seed=0)
+        with ng.count_flops() as meter:
+            prefill(model, random_sequence(model, m=m, n=64, seed=77))
+        assert meter.total == flops
+
+    def test_greedy_skips_the_unread_last_decode_step(self, monkeypatch):
+        model = build_model(small_config(), seed=80, mamba_out_std=0.2)
+        seq = random_sequence(model, m=4, n=2, seed=81)
+        # the full loop: one decode step after every token, the last unread
+        logits, ctx = prefill(model, seq)
+        full = []
+        for _ in range(5):
+            full.append(int(np.argmax(logits)))
+            logits, ctx = decode_step(model, ctx, model.token_table.data[full[-1]])
+        calls = []
+        step = mod.decode_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(mod, "decode_step", counted)
+        assert generate_greedy(model, seq, 5) == full
+        assert len(calls) == 4
+
+
 class TestParameters:
     def test_registry_sorted_and_complete(self):
         model = build_model(small_config(), seed=25)
@@ -388,6 +494,18 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_fails_on_load(self, tmp_path, bad):
+        model = build_model(small_config(), seed=35)
+        w = model.layers[1].mlp.w1
+        w.data = w.data.copy()
+        w.data[2, 3] = bad
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        with pytest.raises(FormatError, match=r"layers\.1\.mlp\.w1"):
+            load_checkpoint(path)
 
 
 class TestHybridFromBaseline:

@@ -1,6 +1,7 @@
 """Tests for discretization, selective scans, and the state-space block."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,7 +290,87 @@ class TestScanChunked:
         assert rel_err(xt.grad, fd) < 1e-4
 
 
+def conv_by_ops(params, xz, tail):
+    """The causal convolution as a composition of graph ops: prepend the
+    tail, slice each tap, multiply, then sum ((t0 + t1) + t2) + t3."""
+    T = xz.shape[0]
+    x_full = ng.concat_rows([Tensor(tail), xz])
+    y = None
+    for j in range(ssm.CONV_WIDTH):
+        tap = ng.mul(ng.slice_rows(x_full, j, j + T), ng.slice_rows(params.conv_w, j, j + 1))
+        y = tap if y is None else ng.add(y, tap)
+    return y
+
+
+class TestCausalConv:
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 9, 70])
+    def test_forward_and_meter_equal_the_op_composition(self, T):
+        p = make_params(MAMBA2, d_model=4, seed=61)
+        rng = ng.new_rng(62)
+        xz, tail = Tensor(rng.standard_normal((T, p.d_inner))), rng.standard_normal((3, p.d_inner))
+        with ng.no_grad(), ng.count_flops() as fused:
+            y = ssm.causal_conv4(p, xz, tail).data
+        with ng.no_grad(), ng.count_flops() as ops:
+            ref = conv_by_ops(p, xz, tail).data
+        assert np.array_equal(y, ref)
+        assert fused.by_kind == ops.by_kind
+
+    @pytest.mark.parametrize("T", [2, 7])
+    def test_vjp_matches_the_op_composition_and_finite_differences(self, T):
+        # a nonzero carried tail: its rows feed the first taps of the output
+        p = make_params(MAMBA2, d_model=2, seed=63)
+        rng = ng.new_rng(64)
+        xz = Tensor(rng.standard_normal((T, p.d_inner)), requires_grad=True)
+        tail = rng.standard_normal((3, p.d_inner))
+        w_out = Tensor(rng.standard_normal((T, p.d_inner)))
+
+        def grads(conv):
+            xz.grad = p.conv_w.grad = None
+            backward(ng.tsum(ng.mul(conv(p, xz, tail), w_out)))
+            return xz.grad.copy(), p.conv_w.grad.copy()
+
+        gx, gw = grads(ssm.causal_conv4)
+        ref_x, ref_w = grads(conv_by_ops)
+        assert np.max(np.abs(gx - ref_x)) < 1e-13
+        assert np.max(np.abs(gw - ref_w)) < 1e-13
+
+        fd_x = finite_diff_grad(lambda t: ng.tsum(ng.mul(ssm.causal_conv4(p, t, tail), w_out)), xz)
+        w0 = p.conv_w
+
+        def by_weight(t):
+            p.conv_w = t
+            try:
+                return ng.tsum(ng.mul(ssm.causal_conv4(p, xz, tail), w_out))
+            finally:
+                p.conv_w = w0
+
+        fd_w = finite_diff_grad(by_weight, w0)
+        assert rel_err(gx, fd_x) < 1e-6
+        assert rel_err(gw, fd_w) < 1e-6
+
+    def test_one_graph_node(self):
+        p = make_params(MAMBA2, d_model=2, seed=65)
+        xz = Tensor(ng.new_rng(66).standard_normal((5, p.d_inner)), requires_grad=True)
+        y = ssm.causal_conv4(p, xz, np.zeros((3, p.d_inner)))
+        assert y._parents == (xz, p.conv_w)
+
+
 class TestMambaBlock:
+    def test_no_grad_peak_stays_below_nine_branch_arrays(self):
+        # at T = 8192 the projection, its two halves and the convolution's
+        # output are let go before the scan; holding them peaked at 11.5
+        # arrays of [T, d_inner]
+        p = make_params(MAMBA2, d_model=64, seed=67, out_std=0.02)
+        x = Tensor(ng.new_rng(68).standard_normal((8192, 64)))
+        with ng.no_grad():
+            tracemalloc.start()
+            try:
+                mamba_block_forward(p, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 9 * 8192 * p.d_inner * 8
+
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     def test_zero_out_projection_is_identity(self, variant):
         p = make_params(variant, d_model=4, seed=9, out_std=0.0)

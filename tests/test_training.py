@@ -1,6 +1,7 @@
 """Tests for losses, synthetic tasks, and the training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def tiny_task(**kw):
     defaults = dict(kind="needle_retrieval", m=6, n_classes=3, needle_count=1, seed=0)
     defaults.update(kw)
     return SyntheticTask(**defaults).validate()
+
+
+def first_mismatch(got, want):
+    """Index of the first position where got and want differ, else len(want)."""
+    wrong = np.flatnonzero(np.asarray(got) != np.asarray(want))
+    return int(wrong[0]) if wrong.size else len(want)
 
 
 class TestLMLoss:
@@ -346,23 +353,55 @@ class TestEvaluate:
         task = tiny_task()
         assert evaluate(model, task, n_instances=10) == evaluate(model, task, n_instances=10)
 
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    @pytest.mark.parametrize("kind,needles", [("needle_retrieval", 3), ("copy", 3)])
+    def test_one_forward_verdict_matches_greedy_decoding(self, arch, kind, needles):
+        # a few training steps, so answers are class tokens that vary with
+        # the video and are often but not always right; then greedy decoding
+        # and the one teacher-forced forward must agree on the first wrong
+        # answer token of every instance (answer_len when there is none)
+        model = build_model(tiny_config(arch, d=16, n_state=8), seed=21, mamba_out_std=0.1)
+        task = tiny_task(kind=kind, m=12, n_classes=2, needle_count=needles)
+        train(model, TrainConfig(stage="instruct", steps=12, batch=2, lr=5e-3), task)
+        firsts, outputs = [], set()
+        for i in range(100):
+            inst = generate_task(replace(task, seed=500 + i), 16)
+            produced = mod.generate_greedy(
+                model, instance_sequence(model, inst, include_answer=False), inst.answer_len)
+            expected = inst.text_ids[-inst.answer_len:]
+            greedy = first_mismatch(produced, expected)
+            outputs.add(tuple(produced))
+            with ng.no_grad():
+                logits = tr.text_logits(model, instance_sequence(model, inst)).data
+            sup = inst.targets >= 0
+            assert first_mismatch(np.argmax(logits[sup], axis=1), inst.targets[sup]) == greedy
+            firsts.append(greedy)
+        assert len(set(firsts)) > 1 and len(outputs) > 1, "the check would be vacuous"
+        acc, _ = evaluate(model, task, n_instances=100, seed=500)
+        assert acc == firsts.count(task.answer_len) / 100
+
     def test_oracle_predictor_scores_one(self, monkeypatch):
         model = build_model(tiny_config(), seed=19)
         task = tiny_task()
         import hybridseq.training as trn
 
-        def perfect(model_, prompt, steps):
-            # answer read straight from the generator's own bookkeeping
-            return list(perfect.current[-steps:])
+        def perfect(model_, seq):
+            # logits peaked at the answers read straight from the
+            # generator's own bookkeeping
+            targets = perfect.current
+            logits = np.zeros((seq.n, model_.config.vocab_size))
+            sup = np.flatnonzero(targets >= 0)
+            logits[sup, targets[sup]] = 1.0
+            return Tensor(logits)
 
         originals = trn.generate_task
 
         def capture(t, d):
             inst = originals(t, d)
-            perfect.current = list(inst.text_ids)
+            perfect.current = inst.targets
             return inst
 
         monkeypatch.setattr(trn, "generate_task", capture)
-        monkeypatch.setattr(trn.mod, "generate_greedy", perfect)
+        monkeypatch.setattr(trn, "text_logits", perfect)
         acc, _ = evaluate(model, task, n_instances=10)
         assert acc == 1.0
