@@ -35,7 +35,7 @@ from . import numerics as ng
 from . import ssm as ssm_mod
 from .attention import AttentionParams, VideoKVCache
 from .numerics import ContractError, HybridSeqError, Tensor
-from .ssm import SSMParams, SSMState
+from .ssm import SSMParams
 
 __all__ = [
     "ROLE_VIDEO",
@@ -418,8 +418,8 @@ def _mlp_forward(mlp: MLPParams, x: Tensor) -> Tensor:
     return ng.add(ng.matmul(ng.gelu(h), mlp.w2), mlp.b2)
 
 
-def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | None,
-                         cache_sink: list | None = None):
+def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
+                         cache_sink: list | None = None) -> TokenSequence:
     """One hybrid layer: scan for video rows, blended attention + MLP for text.
 
     Cross-attention keys/values come from the layer-input video rows passed
@@ -437,7 +437,6 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | Non
     x_t = ng.slice_rows(x, m, m + n) if m > 0 else x
     kv = [] if cache_sink is not None else None
 
-    new_state = state
     video = None
     if m > 0:
         x_v = ng.slice_rows(x, 0, m)
@@ -446,7 +445,7 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | Non
             # built before the block's temporaries, like the scan's h_final
             video = attn.build_video_kv_cache(layer.cross_attn, video)
         if layer.mamba is not None:
-            v_out, new_state = ssm_mod.mamba_block_forward(layer.mamba, x_v, state)
+            v_out, _ = ssm_mod.mamba_block_forward(layer.mamba, x_v)
         else:
             v_out = x_v
 
@@ -468,7 +467,7 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence, state: SSMState | Non
     )
 
     emb = t_out if m == 0 else ng.concat_rows([v_out, t_out])
-    return TokenSequence(embeddings=emb, roles=seq.roles), new_state
+    return TokenSequence(embeddings=emb, roles=seq.roles)
 
 
 def baseline_layer_forward(layer: Layer, seq: TokenSequence,
@@ -492,20 +491,17 @@ def baseline_layer_forward(layer: Layer, seq: TokenSequence,
     return TokenSequence(embeddings=x, roles=seq.roles)
 
 
-def forward_hidden(model: Model, seq: TokenSequence, cache_sink: list | None = None):
-    """All layers; returns (final TokenSequence, final per-layer scan states).
+def forward_hidden(model: Model, seq: TokenSequence,
+                   cache_sink: list | None = None) -> TokenSequence:
+    """All layers; returns the final TokenSequence.
 
     `cache_sink` is handed to every layer (see `hybrid_layer_forward`)."""
-    states: list[SSMState | None] = []
+    layer_forward = (baseline_layer_forward if model.config.architecture == ARCH_BASELINE
+                     else hybrid_layer_forward)
     cur = seq
     for layer in model.layers:
-        if model.config.architecture == ARCH_BASELINE:
-            cur = baseline_layer_forward(layer, cur, cache_sink)
-            states.append(None)
-        else:
-            cur, st = hybrid_layer_forward(layer, cur, None, cache_sink)
-            states.append(st)
-    return cur, states
+        cur = layer_forward(layer, cur, cache_sink)
+    return cur
 
 
 def text_logits(model: Model, seq: TokenSequence) -> Tensor:
@@ -513,7 +509,7 @@ def text_logits(model: Model, seq: TokenSequence) -> Tensor:
 
     Only text positions feed the output head; the head shares weights with
     the token embedding table."""
-    hidden, _ = forward_hidden(model, seq)
+    hidden = forward_hidden(model, seq)
     m, n = seq.m, seq.n
     h_t = ng.slice_rows(hidden.embeddings, m, m + n)
     h_t = ng.layer_norm(h_t, model.final_norm.gain, model.final_norm.bias)
@@ -584,8 +580,6 @@ class DecodeContext:
     continuations can branch from one prefill.
     """
 
-    arch: str
-    m: int
     n_text: int
     caches: list[LayerCache]
 
@@ -621,12 +615,11 @@ def prefill(model: Model, seq: TokenSequence):
     m, n = seq.m, seq.n
     caches: list[LayerCache] = []
     with ng.no_grad():
-        cur, _ = forward_hidden(model, seq, caches)
+        cur = forward_hidden(model, seq, caches)
         h_last = cur.embeddings.data[m + n - 1 : m + n]
         h_last = _layer_norm_np(h_last, model.final_norm)
         logits = (h_last @ model.token_table.data.T)[0]
-    ctx = DecodeContext(arch=model.config.architecture, m=m, n_text=n, caches=caches)
-    return logits, ctx
+    return logits, DecodeContext(n_text=n, caches=caches)
 
 
 def decode_step(model: Model, ctx: DecodeContext, token_embedding):
@@ -648,7 +641,7 @@ def decode_step(model: Model, ctx: DecodeContext, token_embedding):
             caches.append(grown)
             attn_out = attn.attend_cached(layer.self_attn, x_ln, grown.text_k, grown.text_v,
                                           "causal self-attention")
-            if ctx.arch == ARCH_HYBRID and cache.video_kv is not None:
+            if cache.video_kv is not None:
                 cross = attn.cross_attention(layer.cross_attn, Tensor(x_ln), cache.video_kv)
                 a = float(1.0 / (1.0 + math.exp(-layer.self_attn.alpha_raw.item())))
                 attn_out = (1.0 - a) * cross.data + a * attn_out
@@ -656,7 +649,7 @@ def decode_step(model: Model, ctx: DecodeContext, token_embedding):
             x = x + _mlp_np(layer.mlp, _layer_norm_np(x, layer.mlp_norm))
         h = _layer_norm_np(x, model.final_norm)
         logits = (h @ model.token_table.data.T)[0]
-    return logits, DecodeContext(arch=ctx.arch, m=ctx.m, n_text=ctx.n_text + 1, caches=caches)
+    return logits, DecodeContext(n_text=ctx.n_text + 1, caches=caches)
 
 
 def generate_greedy(model: Model, seq: TokenSequence, steps: int) -> list[int]:

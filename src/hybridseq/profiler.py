@@ -35,7 +35,7 @@ from . import model as mod
 from . import numerics as ng
 from .model import ARCH_BASELINE, ARCH_HYBRID, BLOCK_NONE, Model
 from .numerics import ContractError, FLOP_COST
-from .ssm import _SSD_GROUP, EXPAND, SSD_CHUNK
+from .ssm import _SSD_GROUP, EXPAND, SCAN_BLOCK, SSD_CHUNK
 
 __all__ = [
     "CostModel",
@@ -126,8 +126,23 @@ def _ssd_scan_values(m: int, d_inner: int, n_heads: int, n_state: int, chunk: in
     return vals
 
 
+def _sequential_scan_values(m: int, d_inner: int, n_state: int, block: int) -> float:
+    """Values the sequential mamba1 scan keeps for its reverse pass over m
+    rows: its inputs, every per-step [d_inner, n_state] stage of the
+    composition and the states themselves, and the outputs."""
+    c, n = d_inner, n_state
+    k = -(-m // block)
+    blocked = int(k > 1)  # rows cut into blocks, y rejoined
+    vals = m * (3.0 * c + 2 * n) + blocked * m * c  # delta (three stages), B, C; x's blocks
+    vals += 2.0 * c * n  # a = -exp(a_log)
+    vals += 7.0 * m * c * n  # dA, its exp and expm1, three input-path stages, states
+    vals += (1 + blocked) * m * c  # outputs
+    vals += k * c * n  # each block's last state, handed to the next
+    return vals
+
+
 def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: int) -> float:
-    """The block as implemented: mamba1 on the streaming (no-graph)
+    """The block as implemented, with or without grad: mamba1 on the
     sequential scan, mamba2 on the chunked scan."""
     if m == 0:
         return 0.0
@@ -141,7 +156,8 @@ def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: 
     fl += m * n_delta  # delta bias add
     fl += 2.0 * 2 * m * d_inner * n_state  # B and C projections
     if variant == "mamba1":
-        fl += float((9 + 2) * d_inner * n_state) * m  # streaming recurrence + readout
+        fl += 2.0 * d_inner * n_state  # a = -exp(a_log)
+        fl += float((9 + 2) * d_inner * n_state) * m  # recurrence + readout
     else:
         fl += _ssd_scan_flops(m, d_inner, n_heads_ssm, n_state, SSD_CHUNK)
     fl += FLOP_COST["silu"] * float(m) * d_inner + m * d_inner  # gate
@@ -208,9 +224,9 @@ class CostModel:
         The quadratic culprit is retained per layer: score and probability
         matrices of every head.  The hybrid instead retains M x N cross
         scores, N^2 self scores, and what its scan keeps for the reverse
-        pass: mamba1's sequential scan keeps its per-step state history,
-        mamba2's chunked scan per-chunk tensors and boundary states
-        (`_ssd_scan_values`).
+        pass: mamba1's sequential scan its per-step stages and states
+        (`_sequential_scan_values`), mamba2's chunked scan per-chunk
+        tensors and boundary states (`_ssd_scan_values`).
         """
         d, h = self.d, self.n_heads
         r = m + n
@@ -225,8 +241,7 @@ class CostModel:
         if self.block_variant != BLOCK_NONE:
             d_inner = EXPAND * d
             if self.block_variant == "mamba1":
-                # decay, update and state tensors over all steps
-                per_layer += 3.0 * m * d_inner * self.n_state
+                per_layer += _sequential_scan_values(m, d_inner, self.n_state, SCAN_BLOCK)
             else:
                 per_layer += _ssd_scan_values(m, d_inner, self.n_heads_ssm,
                                               self.n_state, SSD_CHUNK)

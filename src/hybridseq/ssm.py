@@ -16,12 +16,13 @@ input.
 Which scan runs where:
 
 * `mamba_block_forward` runs mamba2 on the chunked core `_ssd_scan` (chunk
-  `SSD_CHUNK`) in prefill, evaluation and training alike; it is built from
-  `numerics` ops, so it records a graph under grad and meters its FLOPs.
-  mamba1 runs on `scan_sequential`.
-* `scan_sequential` -- the per-token recurrence, with the fused
-  `linear_recurrence` primitive on the recorded path -- is the oracle the
-  chunked core is tested against; no mamba2 path depends on it.
+  `SSD_CHUNK`) and mamba1 on `scan_sequential`, in prefill, evaluation and
+  training alike.  Both are built from `numerics` ops, so they record a
+  graph under grad, meter their FLOPs, and run the same code without grad.
+* `linear_recurrence` is the one hand-written recurrence (and VJP) in this
+  module.  `scan_sequential` runs it over blocks of `SCAN_BLOCK` rows; the
+  chunked core runs it to pass the state from chunk to chunk.
+* `scan_sequential` is also the oracle the chunked core is tested against.
 
 `SSMState` carries the hidden state `h`, the convolution tail and, after a
 chunked scan, the open chunk (`OpenChunk`: the state at the chunk's start
@@ -62,6 +63,7 @@ MAMBA2 = "mamba2"
 CONV_WIDTH = 4
 EXPAND = 2
 SSD_CHUNK = 64  # rows per chunk of the mamba2 block's scan
+SCAN_BLOCK = 64  # rows per block of the sequential scan
 _SSD_GROUP = 16  # chunks the chunked scan evaluates at once
 
 
@@ -259,38 +261,38 @@ def zoh_discretize(a, b, delta):
 # --------------------------------------------------------------------------
 
 
-def linear_recurrence(decay, inputs, h0: np.ndarray) -> Tensor:
+def linear_recurrence(decay, inputs, h0) -> Tensor:
     """All states of S_t = decay_t * S_{t-1} + inputs_t, S_0 = h0.
 
-    `inputs` is [T, *state]; `decay` is [T, *broadcastable-to-state].  The
-    initial state is a constant (no gradient flows to it).  Returns the
-    stacked states [T, *state].  One graph node regardless of T.
+    `inputs` is [T, *state]; `decay` is [T, *broadcastable-to-state]; `h0`
+    is the initial state, an array or a Tensor.  Returns the stacked states
+    [T, *state] as one graph node regardless of T.  The reverse pass
+    carries the adjoint back through every step; what is left of it after
+    the first step is the gradient of `h0` (a plain array gets none).
     """
     decay = decay if isinstance(decay, Tensor) else Tensor(decay)
     inputs = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-    e, u = decay.data, inputs.data
+    h0 = h0 if isinstance(h0, Tensor) else Tensor(h0)
+    e, u, s = decay.data, inputs.data, h0.data
     T = u.shape[0]
     if e.shape[0] != T:
         raise ContractError("linear_recurrence: decay and inputs disagree on T")
     out = np.empty_like(u)
-    s = h0
-    for t in range(T):
-        s = e[t] * s + u[t]
-        out[t] = s
+    for t in range(T):  # in place: S_t = decay_t * S_{t-1}, then += inputs_t
+        s = np.multiply(e[t], s, out=out[t])
+        s += u[t]
     ng.meter_add("mul", 2.0 * u.size)
 
     def vjp(g):
-        gu = np.empty_like(u)
-        ge = np.zeros_like(np.broadcast_to(e, u.shape))
-        a = np.zeros_like(u[0])
+        gu, ge = np.empty_like(u), np.empty_like(u)
+        a = np.zeros_like(u[0])  # adjoint of S_t carried in from step t+1
         for t in range(T - 1, -1, -1):
-            a = a + g[t]
-            gu[t] = a
-            ge[t] = a * (out[t - 1] if t > 0 else h0)
-            a = e[t] * a
-        return (ng._unbroadcast(ge, e.shape), gu)
+            gs = np.add(a, g[t], out=gu[t])
+            np.multiply(gs, out[t - 1] if t > 0 else h0.data, out=ge[t])
+            np.multiply(e[t], gs, out=a)
+        return (ng._unbroadcast(ge, e.shape), gu, ng._unbroadcast(a, h0.shape))
 
-    return ng.custom_op(out, (decay, inputs), vjp)
+    return ng.custom_op(out, (decay, inputs, h0), vjp)
 
 
 # --------------------------------------------------------------------------
@@ -306,127 +308,6 @@ def _selective_inputs(params: SSMParams, x: Tensor):
     return delta, b, c
 
 
-def _recording(params: SSMParams, x: Tensor) -> bool:
-    return ng.is_grad_enabled() and (x.requires_grad or params.w_in.requires_grad)
-
-
-def scan_sequential(params: SSMParams, x: Tensor, state: SSMState | None = None):
-    """Exact left-to-right selective scan over x [T, d_inner].
-
-    Returns (y [T, d_inner], final SSMState).  The returned state allows
-    seamless continuation: scanning a split sequence with the carried state
-    reproduces the monolithic scan.
-    """
-    if state is None:
-        state = init_state(params)
-    T = x.shape[0]
-    h, p, n = params.n_heads, params.head_dim, params.n_state
-    if T == 0:
-        return ng.slice_rows(x, 0, 0), state.copy()
-
-    delta, b, c = _selective_inputs(params, x)
-
-    if _recording(params, x):
-        a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-        if params.variant == MAMBA1:
-            # dA[t,c,n] = delta[t,c] * a[c,n]; full ZOH on the input path.
-            da = ng.einsum2("tc,cn->tcn", delta, a_neg)
-            e = ng.exp(da)
-            coeff = ng.div(ng.expm1(da), a_neg)
-            u = ng.mul(
-                ng.mul(coeff, ng.reshape(b, (T, 1, n))), ng.reshape(x, (T, params.d_inner, 1))
-            )
-            s_all = linear_recurrence(e, u, state.h.reshape(params.d_inner, n))
-            y = ng.einsum2("tcn,tn->tc", s_all, c)
-            h_final = s_all.data[-1].reshape(h, p, n)
-        else:
-            # dA[t,h] = delta[t,h] * a[h]; Euler input path b_bar = delta*B.
-            da = ng.einsum2("th,h->th", delta, a_neg)
-            e = ng.reshape(ng.exp(da), (T, h, 1, 1))
-            x3 = ng.reshape(x, (T, h, p))
-            xdt = ng.mul(x3, ng.reshape(delta, (T, h, 1)))
-            u = ng.einsum2("thp,tn->thpn", xdt, b)
-            s_all = linear_recurrence(e, u, state.h)
-            y3 = ng.einsum2("thpn,tn->thp", s_all, c)
-            y = ng.reshape(y3, (T, params.d_inner))
-            h_final = s_all.data[-1]
-        if not np.all(np.isfinite(s_all.data)):
-            bad = int(np.argwhere(~np.isfinite(s_all.data).reshape(T, -1).all(axis=1))[0, 0])
-            raise NumericError(f"scan produced non-finite state at token {state.position + bad}")
-    else:
-        y_np, h_final = _scan_streaming(
-            params, x.data, delta.data, b.data, c.data, state.h, state.position
-        )
-        y = Tensor(y_np)
-
-    new_state = SSMState(h=h_final.copy(), conv_tail=state.conv_tail.copy(),
-                         position=state.position + T)
-    return y, new_state
-
-
-def _scan_streaming(params, x, delta, b, c, h0, position):
-    """No-graph scan: per-step updates without materializing [T, ...] buffers."""
-    T = x.shape[0]
-    hh, p, n = params.n_heads, params.head_dim, params.n_state
-    a_neg = -np.exp(params.a_log.data)
-    y = np.empty((T, params.d_inner))
-    if params.variant == MAMBA1:
-        s = h0.reshape(params.d_inner, n)
-        per_step = params.d_inner * n * 9 + params.d_inner * n * 2
-        for t in range(T):
-            da = delta[t][:, None] * a_neg
-            e = np.exp(da)
-            u = (np.expm1(da) / a_neg) * b[t][None, :] * x[t][:, None]
-            s = e * s + u
-            yt = s @ c[t]
-            if not np.isfinite(yt).all():
-                raise NumericError(f"scan produced non-finite state at token {position + t}")
-            y[t] = yt
-        h_final = s.reshape(hh, p, n)
-    else:
-        s = h0.copy()
-        per_step = hh * p * n * 5 + hh * p * n * 2
-        for t in range(T):
-            e = np.exp(delta[t] * a_neg)
-            u = (delta[t][:, None] * x[t].reshape(hh, p))[:, :, None] * b[t][None, None, :]
-            s = e[:, None, None] * s + u
-            yt = (s @ c[t]).reshape(-1)
-            if not np.isfinite(yt).all():
-                raise NumericError(f"scan produced non-finite state at token {position + t}")
-            y[t] = yt
-        h_final = s
-    ng.meter_add("mul", float(per_step) * T)
-    return y, h_final
-
-
-def _boundary_states(decay: Tensor, s: Tensor, h0: Tensor) -> Tensor:
-    """States at the chunk boundaries: H_0 = h0, H_{k+1} = decay_k H_k + S_k.
-
-    `decay` is [K, heads], `s` is [K, heads, ...] and `h0` is [heads, ...].
-    Returns H_0..H_K, [K+1, heads, ...], as one graph node.
-    """
-    e, u = decay.data, s.data
-    K = u.shape[0]
-    e_b = e.reshape(e.shape + (1,) * (u.ndim - e.ndim))
-    out = np.empty((K + 1,) + u.shape[1:])
-    out[0] = h0.data
-    for k in range(K):
-        out[k + 1] = e_b[k] * out[k] + u[k]
-    ng.meter_add("mul", 2.0 * u.size)
-
-    def vjp(g):
-        gs = np.empty_like(u)
-        ge = np.empty_like(e)
-        acc = g[K]
-        for k in range(K - 1, -1, -1):
-            gs[k] = acc
-            ge[k] = (acc * out[k]).reshape(e.shape[1], -1).sum(axis=1)
-            acc = e_b[k] * acc + g[k]
-        return (ge, gs, acc)
-
-    return ng.custom_op(out, (decay, s, h0), vjp)
-
-
 def _first_bad_row(*arrays: np.ndarray) -> int | None:
     """Index of the first row that is non-finite in any of the arrays."""
     with np.errstate(invalid="ignore", over="ignore"):
@@ -436,6 +317,60 @@ def _first_bad_row(*arrays: np.ndarray) -> int | None:
     for a in arrays:
         bad |= ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
     return int(np.argmax(bad)) if bad.any() else None
+
+
+def _scan_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s0: Tensor):
+    """The recurrence over a few rows from the state s0: (y, every state)."""
+    T = x.shape[0]
+    delta, b, c = _selective_inputs(params, x)
+    h, p, n = params.n_heads, params.head_dim, params.n_state
+    if params.variant == MAMBA1:
+        # dA[t,c,n] = delta[t,c] * a[c,n]; full ZOH on the input path.
+        da = ng.einsum2("tc,cn->tcn", delta, a_neg)
+        coeff = ng.div(ng.expm1(da), a_neg)
+        u = ng.mul(ng.mul(coeff, ng.reshape(b, (T, 1, n))), ng.reshape(x, (T, params.d_inner, 1)))
+        s_all = linear_recurrence(ng.exp(da), u, s0)
+        return ng.einsum2("tcn,tn->tc", s_all, c), s_all
+    # dA[t,h] = delta[t,h] * a[h]; Euler input path b_bar = delta*B.
+    e = ng.reshape(ng.exp(ng.einsum2("th,h->th", delta, a_neg)), (T, h, 1, 1))
+    xdt = ng.mul(ng.reshape(x, (T, h, p)), ng.reshape(delta, (T, h, 1)))
+    s_all = linear_recurrence(e, ng.einsum2("thp,tn->thpn", xdt, b), s0)
+    return ng.reshape(ng.einsum2("thpn,tn->thp", s_all, c), (T, params.d_inner)), s_all
+
+
+def scan_sequential(params: SSMParams, x: Tensor, state: SSMState | None = None):
+    """Exact left-to-right selective scan over x [T, d_inner].
+
+    The rows are scanned in blocks of `SCAN_BLOCK`; each block starts from
+    the last state of the one before, passed on as a graph node, so
+    gradients cross the block boundaries and, without grad, only one block
+    of per-step states is alive at a time.  Returns (y [T, d_inner], final
+    SSMState).  The returned state allows seamless continuation: scanning a
+    split sequence with the carried state reproduces the monolithic scan.
+    """
+    if state is None:
+        state = init_state(params)
+    T = x.shape[0]
+    if T == 0:
+        return ng.slice_rows(x, 0, 0), state.copy()
+    h, p, n = params.n_heads, params.head_dim, params.n_state
+    shape = (params.d_inner, n) if params.variant == MAMBA1 else (h, p, n)
+    a_neg = ng.mul(ng.exp(params.a_log), -1.0)
+    s = Tensor(state.h.reshape(shape))
+    ys = []
+    for lo in range(0, T, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, T)
+        y, s_all = _scan_rows(params, a_neg, x if hi - lo == T else ng.slice_rows(x, lo, hi), s)
+        bad = _first_bad_row(s_all.data, y.data)
+        if bad is not None:
+            raise NumericError(f"scan produced non-finite state at token {state.position + lo + bad}")
+        s = ng.reshape(ng.slice_rows(s_all, hi - lo - 1, hi - lo), shape)
+        ys.append(y)
+    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
+
+    new_state = SSMState(h=s.data.reshape(h, p, n).copy(), conv_tail=state.conv_tail.copy(),
+                         position=state.position + T)
+    return y, new_state
 
 
 def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: int):
@@ -466,17 +401,18 @@ def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: in
     y = ng.bmatmul(w, xh)
 
     # chunk boundaries: each chunk's own contribution to its end state,
-    # S_k = sum_s exp(total - cum_s) B_s (x dt)_s, kept as [K, h, n, p]
+    # S_k = sum_s exp(total - cum_s) B_s (x dt)_s, kept as [K, h, n, p];
+    # the state passes on as H_{k+1} = exp(total_k) H_k + S_k
     to_end = ng.permute(ng.exp(ng.sub(total, cum_q)), (1, 2, 0))  # [K, h, q]
     s_k = ng.bmatmul(ng.reshape(b_t, (K, 1, n, q)), ng.mul(xh, ng.reshape(to_end, (K, hh, q, 1))))
-    states = _boundary_states(ng.exp(ng.reshape(total, (K, hh))), s_k, h0)
-    starts = ng.slice_rows(states, 0, K)
+    ends = linear_recurrence(ng.exp(ng.reshape(total, (K, hh, 1, 1))), s_k, h0)
+    starts = ng.concat_rows([ng.reshape(h0, (1, hh, n, p)), ng.slice_rows(ends, 0, K - 1)])
 
     # read out the state carried into each chunk: C_t exp(cum_t) H_k
     y_state = ng.bmatmul(ng.reshape(c_k, (K, 1, q, n)), starts)
     y = ng.add(y, ng.mul(y_state, ng.reshape(ng.exp(cum), (K, hh, q, 1))))
     y = ng.reshape(ng.permute(y, (0, 2, 1, 3)), (K * q, hh * p))
-    return y, starts, ng.reshape(ng.slice_rows(states, K, K + 1), (hh, n, p))
+    return y, starts, ng.reshape(ng.slice_rows(ends, K - 1, K), (hh, n, p))
 
 
 def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):

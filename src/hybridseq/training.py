@@ -68,6 +68,13 @@ TOK_CLASS_BASE = 64  # class c -> id 64 + c
 
 DISTILL_TOP_K = 100
 
+# optimizer settings of every training run
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.95
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+GRAD_CLIP = 1.0  # global gradient-norm ceiling
+
 
 # --------------------------------------------------------------------------
 # Configuration
@@ -82,10 +89,6 @@ class TrainConfig:
     steps: int = 100
     batch: int = 4
     seed: int = 0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.95
-    grad_clip: float = 1.0
 
     def validate(self) -> "TrainConfig":
         if self.stage not in (STAGE_PRETRAIN, STAGE_INSTRUCT):
@@ -286,17 +289,14 @@ def instance_sequence(model: Model, inst: TaskInstance, include_answer: bool = T
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter dict.
+    """Decoupled-weight-decay Adam over a named parameter dict, with the
+    module's `ADAM_*` and `WEIGHT_DECAY` settings; the learning rate comes
+    with each step.
 
     Weight decay applies only to matrices (ndim >= 2); gains, biases and
     scalars are left undecayed."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.95,
-                 eps: float = 1e-8, weight_decay: float = 0.01):
-        self.lr = lr
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self):
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -310,15 +310,15 @@ class AdamW:
             g = p.grad
             m = self._m.setdefault(name, np.zeros_like(p.data))
             v = self._v.setdefault(name, np.zeros_like(p.data))
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            upd = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and p.data.ndim >= 2:
-                upd = upd + self.weight_decay * p.data
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            upd = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if p.data.ndim >= 2:
+                upd = upd + WEIGHT_DECAY * p.data
             p.data = p.data - lr_t * upd
 
 
@@ -361,7 +361,7 @@ def train(
     trainable = {
         name: p for name, p in all_params.items() if stage_trainable(cfg.stage, name)
     }
-    opt = AdamW(cfg.lr, cfg.beta1, cfg.beta2, weight_decay=cfg.weight_decay)
+    opt = AdamW()
     records: list[dict] = []
 
     for step in range(cfg.steps):
@@ -394,8 +394,8 @@ def train(
             ng.backward(ng.mul(total, 1.0 / cfg.batch), accumulate=True)
 
         grad_norm = _global_grad_norm(trainable)
-        if cfg.grad_clip > 0 and grad_norm > cfg.grad_clip:
-            scale = cfg.grad_clip / grad_norm
+        if grad_norm > GRAD_CLIP:
+            scale = GRAD_CLIP / grad_norm
             for p in trainable.values():
                 if p.grad is not None:
                     p.grad = p.grad * scale

@@ -86,7 +86,7 @@ class TestLayerForwards:
         layer.mamba.w_out.data[:] = 0.0
         seq = random_sequence(model, m=4, n=1, seed=2)
         with ng.no_grad():
-            out, _ = hybrid_layer_forward(layer, seq, None)
+            out = hybrid_layer_forward(layer, seq)
         assert np.array_equal(out.embeddings.data, seq.embeddings.data)
 
     def test_block_none_leaves_video_unchanged(self):
@@ -94,7 +94,7 @@ class TestLayerForwards:
         model = build_model(cfg, seed=3)
         seq = random_sequence(model, m=5, n=3, seed=4)
         with ng.no_grad():
-            out, _ = forward_hidden(model, seq)
+            out = forward_hidden(model, seq)
         assert np.array_equal(out.embeddings.data[:5], seq.embeddings.data[:5])
         assert not np.array_equal(out.embeddings.data[5:], seq.embeddings.data[5:])
 
@@ -104,7 +104,7 @@ class TestLayerForwards:
         layer = model.layers[0]
         seq = random_sequence(model, m=4, n=3, seed=6)
         with ng.no_grad():
-            out, _ = hybrid_layer_forward(layer, seq, None)
+            out = hybrid_layer_forward(layer, seq)
 
             x = seq.embeddings
             x_v, x_t = ng.slice_rows(x, 0, 4), ng.slice_rows(x, 4, 7)
@@ -332,7 +332,7 @@ class TestPrefillWritesCaches:
                     ref = attn_mod.build_video_kv_cache(layer.cross_attn, Tensor(x_ln[:6]))
                     assert np.array_equal(cache.video_kv.k, ref.k)
                     assert np.array_equal(cache.video_kv.v, ref.v)
-                    cur, _ = hybrid_layer_forward(layer, cur, None)
+                    cur = hybrid_layer_forward(layer, cur)
                 else:
                     cur = baseline_layer_forward(layer, cur)
 

@@ -129,6 +129,20 @@ class TestBlockFlops:
             ssm.mamba_block_forward(p, x)
         assert meter.total == pf._mamba_block_flops(m, 8, variant, p.n_state, p.n_heads)
 
+    @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+    @pytest.mark.parametrize("m", [1, ssm.SCAN_BLOCK + 1, 2 * ssm.SCAN_BLOCK + 5])
+    def test_block_count_does_not_depend_on_grad_mode(self, variant, m):
+        # the same composition runs with and without a recorded graph
+        p = ssm.init_ssm_params(ng.new_rng(2), 8, variant, out_init_std=0.1)
+        x = Tensor(ng.new_rng(3).standard_normal((m, 8)), requires_grad=True)
+        with ng.no_grad(), ng.count_flops() as without:
+            ssm.mamba_block_forward(p, x)
+        with ng.count_flops() as recorded:
+            y, _ = ssm.mamba_block_forward(p, x)
+        assert y.requires_grad
+        assert recorded.by_kind == without.by_kind
+        assert recorded.total == pf._mamba_block_flops(m, 8, variant, p.n_state, p.n_heads)
+
 
 class TestFit:
     def test_exact_linear(self):
@@ -272,7 +286,7 @@ def test_wall_clock_slopes_separate():
 
 
 class TestScanMemory:
-    """The mamba2 memory charge against what a recorded forward keeps."""
+    """The scans' memory charges against what a recorded forward keeps."""
 
     @pytest.mark.parametrize("t", [256, 1000, 1100])
     def test_ssd_scan_values_match_what_the_graph_keeps(self, t):
@@ -288,6 +302,21 @@ class TestScanMemory:
             tracemalloc.stop()
         est = 8 * pf._ssd_scan_values(t, params.d_inner, params.n_heads,
                                       params.n_state, ssm.SSD_CHUNK)
+        assert 0.9 < est / kept < 1.1, f"estimate {est / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("t", [64, 256, 1000])
+    def test_sequential_scan_values_match_what_the_graph_keeps(self, t):
+        # one block, whole blocks, and a last block cut short
+        params = ssm.init_ssm_params(ng.new_rng(0), 64, "mamba1")
+        x = Tensor(ng.new_rng(1).standard_normal((t, params.d_inner)) * 0.5,
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            y, _ = ssm.scan_sequential(params, x)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        est = 8 * pf._sequential_scan_values(t, params.d_inner, params.n_state, ssm.SCAN_BLOCK)
         assert 0.9 < est / kept < 1.1, f"estimate {est / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
 
     @pytest.mark.parametrize("m", [256, 1024])

@@ -12,6 +12,7 @@ from hybridseq.numerics import ContractError, NumericError, Tensor, backward, fi
 from hybridseq.ssm import (
     MAMBA1,
     MAMBA2,
+    SCAN_BLOCK,
     SSD_CHUNK,
     SSMParams,
     hippo_init,
@@ -103,7 +104,8 @@ class TestLinearRecurrence:
 
         et = Tensor(e0, requires_grad=True)
         ut = Tensor(u0, requires_grad=True)
-        loss = ng.tsum(ng.mul(linear_recurrence(et, ut, h0), Tensor(w)))
+        ht = Tensor(h0, requires_grad=True)
+        loss = ng.tsum(ng.mul(linear_recurrence(et, ut, ht), Tensor(w)))
         backward(loss)
 
         fd_e = finite_diff_grad(
@@ -114,8 +116,13 @@ class TestLinearRecurrence:
             lambda t: ng.tsum(ng.mul(linear_recurrence(Tensor(e0), t, h0), Tensor(w))),
             Tensor(u0),
         )
+        fd_h = finite_diff_grad(
+            lambda t: ng.tsum(ng.mul(linear_recurrence(Tensor(e0), Tensor(u0), t), Tensor(w))),
+            Tensor(h0),
+        )
         assert rel_err(et.grad, fd_e) < 1e-4
         assert rel_err(ut.grad, fd_u) < 1e-4
+        assert rel_err(ht.grad, fd_h) < 1e-4
 
     def test_broadcast_decay(self):
         rng = ng.new_rng(1)
@@ -211,6 +218,69 @@ class TestScanSequential:
         backward(ng.tsum(ng.mul(y, Tensor(w))))
         fd = finite_diff_grad(f, Tensor(x0))
         assert rel_err(xt.grad, fd) < 1e-4
+
+    @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
+    @pytest.mark.parametrize("cut", [SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1])
+    def test_chaining_across_scan_blocks_bit_exact(self, variant, cut):
+        p = make_params(variant, d_model=4, seed=18)
+        x = ng.new_rng(19).standard_normal((2 * SCAN_BLOCK + 5, p.d_inner))
+        with ng.no_grad():
+            y_full, st_full = scan_sequential(p, Tensor(x))
+            y1, st1 = scan_sequential(p, Tensor(x[:cut]))
+            y2, st2 = scan_sequential(p, Tensor(x[cut:]), st1)
+        assert np.array_equal(np.concatenate([y1.data, y2.data]), y_full.data)
+        assert np.array_equal(st2.h, st_full.h)
+
+    @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
+    def test_gradients_across_scan_blocks_vs_finite_differences(self, variant):
+        # three blocks: the state and its adjoint pass two block boundaries
+        T = 2 * SCAN_BLOCK + 5
+        p = make_params(variant, d_model=2, seed=20, n_state=4)
+        rng = ng.new_rng(21)
+        p.delta_bias = Tensor(np.log(np.expm1(rng.uniform(0.05, 0.2, p.n_delta))),
+                              requires_grad=True)
+        x0 = rng.standard_normal((T, p.d_inner))
+        w = Tensor(rng.standard_normal((T, p.d_inner)))
+        names = ["w_delta", "delta_bias", "w_b", "w_c", "a_log"]
+
+        def loss(xt):
+            return ng.tsum(ng.mul(scan_sequential(p, xt)[0], w))
+
+        xt = Tensor(x0, requires_grad=True)
+        backward(loss(xt))
+        assert max_rel_diff(xt.grad, finite_diff_grad(loss, Tensor(x0))) < 1e-6
+        for name in names:
+            param = getattr(p, name)
+
+            def by_param(t, _param=param):
+                old = _param.data
+                _param.data = t.data
+                try:
+                    return loss(Tensor(x0))
+                finally:
+                    _param.data = old
+
+            fd = finite_diff_grad(by_param, Tensor(param.data.copy()))
+            assert max_rel_diff(param.grad, fd) < 1e-6, name
+
+    def test_mamba1_no_grad_peak_does_not_grow_with_t(self):
+        # without grad only one block of [rows, d_inner, n_state] values is
+        # alive; what grows with T is the [T, d_inner]-sized inputs and output
+        p = make_params(MAMBA1, d_model=16, seed=22)
+        peaks = {}
+        for T in (4 * SCAN_BLOCK, 32 * SCAN_BLOCK):
+            x = Tensor(ng.new_rng(23).standard_normal((T, p.d_inner)))
+            with ng.no_grad():
+                tracemalloc.start()
+                try:
+                    scan_sequential(p, x)
+                    peaks[T] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        # eight float64 [rows, d_inner] arrays for the 28 blocks' rows added;
+        # keeping every state would add n_state = 16 of them
+        grown = peaks[32 * SCAN_BLOCK] - peaks[4 * SCAN_BLOCK]
+        assert grown < 8 * (28 * SCAN_BLOCK * p.d_inner * 8)
 
     def test_bounded_state_under_long_input(self):
         p = make_params(MAMBA2, d_model=4, seed=4)
