@@ -132,8 +132,8 @@ class HybridStackConfig:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.block_variant not in (ssm_mod.MAMBA1, ssm_mod.MAMBA2, BLOCK_NONE):
             raise ConfigError(f"unknown block variant {self.block_variant!r}")
-        if self.d <= 0 or self.n_layers <= 0 or self.vocab_size <= 1:
-            raise ConfigError("d, n_layers and vocab_size must be positive")
+        if self.d <= 0 or self.n_layers <= 0 or self.n_heads <= 0 or self.vocab_size <= 1:
+            raise ConfigError("d, n_layers, n_heads and vocab_size must be positive")
         if self.d % self.n_heads != 0:
             raise ConfigError(f"width {self.d} not divisible by {self.n_heads} heads")
         return self
@@ -705,6 +705,13 @@ def save_checkpoint(model: Model, path: str) -> None:
 def load_checkpoint(path: str, expected_config: HybridStackConfig | None = None) -> Model:
     with open(path, "rb") as f:
         raw = f.read()
+    return _model_from_bytes(raw, expected_config)
+
+
+def _model_from_bytes(raw: bytes, expected_config: HybridStackConfig | None = None) -> Model:
+    """Parse a checkpoint image.  Any malformed header, config block or
+    parameter record raises FormatError; a well-formed file that does not
+    fit its own (or the expected) configuration raises ConfigError."""
     view = memoryview(raw)
     off = 0
 
@@ -716,6 +723,12 @@ def load_checkpoint(path: str, expected_config: HybridStackConfig | None = None)
         off += n
         return chunk
 
+    def text(n: int, what: str) -> str:
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint {what} is not UTF-8: {exc}") from exc
+
     if bytes(take(8)) != _MAGIC:
         raise FormatError("not a hybridseq checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4))
@@ -723,12 +736,15 @@ def load_checkpoint(path: str, expected_config: HybridStackConfig | None = None)
         raise FormatError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<Q", take(8))
     kv = {}
-    for line in bytes(take(cfg_len)).decode("utf-8").splitlines():
+    for line in text(cfg_len, "config block").splitlines():
         if line:
             k, _, v = line.partition("=")
             kv[k] = v
     try:
         config = HybridStackConfig.from_kv(kv)
+        seed = int(kv.get("init_seed", "0"))
+        if seed < 0:
+            raise ValueError(f"negative init_seed {seed}")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"checkpoint config block unreadable: {exc}") from exc
     if expected_config is not None and config.to_kv() != expected_config.to_kv():
@@ -738,16 +754,18 @@ def load_checkpoint(path: str, expected_config: HybridStackConfig | None = None)
     loaded: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = text(name_len, "parameter name")
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
-        loaded[name] = np.array(data, dtype=np.float64)
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            loaded[name] = np.array(data.reshape(shape), dtype=np.float64)
+        except ValueError as exc:  # more axes than numpy allows
+            raise FormatError(f"checkpoint parameter {name} has shape {shape}: {exc}") from exc
     if off != len(raw):
         raise FormatError("checkpoint has trailing bytes")
 
-    model = build_model(config, seed=int(kv.get("init_seed", "0")))
+    model = build_model(config, seed=seed)
     params = named_parameters(model)
     if set(params) != set(loaded):
         missing = set(params) ^ set(loaded)

@@ -47,7 +47,6 @@ __all__ = [
     "new_rng",
     "tensor",
     "zeros",
-    "randn",
     "matmul",
     "bmatmul",
     "einsum2",
@@ -321,10 +320,6 @@ def new_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def randn(rng: np.random.Generator, *shape, std: float = 1.0, requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * std, requires_grad=requires_grad)
-
-
 # --------------------------------------------------------------------------
 # Graph construction helpers
 # --------------------------------------------------------------------------
@@ -589,15 +584,23 @@ def concat_cols(parts) -> Tensor:
     return _node(out, tuple(parts), vjp)
 
 
+class _RowSlice:
+    """The adjoint of a row slice: `g` in rows lo:hi of the parent, zero
+    elsewhere.  `GradTape.run` adds it in place instead of building the
+    parent-sized array."""
+
+    __slots__ = ("lo", "hi", "g")
+
+    def __init__(self, lo: int, hi: int, g: np.ndarray):
+        self.lo, self.hi, self.g = lo, hi, g
+
+
 def slice_rows(a, lo: int, hi: int) -> Tensor:
     a = _coerce(a)
     out = a.data[lo:hi].copy()
-    shape = a.shape
 
     def vjp(g):
-        ga = np.zeros(shape)
-        ga[lo:hi] = g
-        return (ga,)
+        return (_RowSlice(lo, hi, g),)
 
     return _node(out, (a,), vjp)
 
@@ -900,8 +903,14 @@ class GradTape:
                     stack.append((p, False))
 
     def run(self) -> dict[int, np.ndarray]:
-        """Propagate adjoints from the root back to every reachable node."""
+        """Propagate adjoints from the root back to every reachable node.
+
+        A row-slice adjoint is added in place into a buffer only the tape
+        holds; an adjoint a VJP handed over may be shared (`add` gives the
+        same array to both parents), so it is copied before the first such
+        write."""
         adj = self.adjoints
+        owned: set[int] = set()  # ids whose buffer no other adjoint shares
         adj[id(self.root)] = np.ones_like(self.root.data)
         for node in reversed(self.nodes):
             g = adj.get(id(node))
@@ -911,8 +920,23 @@ class GradTape:
             for p, pg in zip(node._parents, parent_grads):
                 if pg is None:
                     continue
-                cur = adj.get(id(p))
-                adj[id(p)] = pg if cur is None else cur + pg
+                key = id(p)
+                cur = adj.get(key)
+                if isinstance(pg, _RowSlice):
+                    if cur is None:
+                        cur = adj[key] = np.zeros(p.shape)
+                        cur[pg.lo : pg.hi] = pg.g
+                        owned.add(key)
+                        continue
+                    if key not in owned:
+                        cur = adj[key] = cur.copy()
+                        owned.add(key)
+                    cur[pg.lo : pg.hi] += pg.g
+                elif cur is None:
+                    adj[key] = pg
+                else:
+                    adj[key] = cur + pg
+                    owned.add(key)
         return adj
 
 

@@ -117,9 +117,7 @@ def _ssd_scan_values(m: int, d_inner: int, n_heads: int, n_state: int, chunk: in
     rows = k * q
     vals = m * (4.0 * h + 2 * n + d_inner)  # delta (three stages), dA, B, C, x*delta
     framed = int(rows > m)  # inputs padded to the chunk grid, y sliced back
-    grouped = int(k > _SSD_GROUP)  # inputs cut into chunk groups, y rejoined
-    vals += (framed + grouped) * rows * (h + 2.0 * n + d_inner)
-    vals += framed * m * d_inner + grouped * rows * d_inner
+    vals += framed * (rows * (h + 2.0 * n + d_inner) + m * d_inner)
     vals += rows * (4.0 * h * q + 2 * q)  # decay matrices per head, masked C B^T
     vals += rows * (7.0 * d_inner + n + 6 * h)  # head-major copies, partial outputs
     vals += 3.0 * k * d_inner * n  # chunk contributions, boundary states, starts
@@ -139,6 +137,25 @@ def _sequential_scan_values(m: int, d_inner: int, n_state: int, block: int) -> f
     vals += (1 + blocked) * m * c  # outputs
     vals += k * c * n  # each block's last state, handed to the next
     return vals
+
+
+def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int) -> float:
+    """Values a recorded block keeps for its reverse pass over m rows from
+    the stream's start: the scan's, plus its activations.  The body runs
+    over groups of `_SSD_GROUP * SSD_CHUNK` rows, so the chunked scan is
+    charged per group (only the last one is padded to the chunk grid);
+    more than one group also keeps x's row slices and the joined output."""
+    d_inner = EXPAND * d
+    size = _SSD_GROUP * SSD_CHUNK
+    if variant == "mamba1":
+        vals = _sequential_scan_values(m, d_inner, n_state, SCAN_BLOCK)
+    else:
+        full, last = divmod(m, size)
+        vals = (full * _ssd_scan_values(size, d_inner, n_heads, n_state, SSD_CHUNK)
+                + _ssd_scan_values(last, d_inner, n_heads, n_state, SSD_CHUNK))
+    vals += 6.0 * m * d_inner  # conv/gate activations
+    vals += 2.0 * m * d  # block ln + residual
+    return vals + 2.0 * m * d * (m > size)
 
 
 def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: int) -> float:
@@ -223,10 +240,12 @@ class CostModel:
 
         The quadratic culprit is retained per layer: score and probability
         matrices of every head.  The hybrid instead retains M x N cross
-        scores, N^2 self scores, and what its scan keeps for the reverse
-        pass: mamba1's sequential scan its per-step stages and states
-        (`_sequential_scan_values`), mamba2's chunked scan per-chunk
-        tensors and boundary states (`_ssd_scan_values`).
+        scores, N^2 self scores, and what its block keeps for the reverse
+        pass (`_mamba_block_values`): its activations plus, for mamba1, the
+        sequential scan's per-step stages and states
+        (`_sequential_scan_values`), for mamba2 the chunked scan's
+        per-chunk tensors and boundary states per row group
+        (`_ssd_scan_values`).
         """
         d, h = self.d, self.n_heads
         r = m + n
@@ -239,14 +258,8 @@ class CostModel:
         per_layer = 2.0 * h * m * n + 2.0 * h * n * n  # cross + self scores/probs
         per_layer += 6.0 * n * d + 2.0 * n * self.mlp_ratio * d + 2.0 * n * d
         if self.block_variant != BLOCK_NONE:
-            d_inner = EXPAND * d
-            if self.block_variant == "mamba1":
-                per_layer += _sequential_scan_values(m, d_inner, self.n_state, SCAN_BLOCK)
-            else:
-                per_layer += _ssd_scan_values(m, d_inner, self.n_heads_ssm,
-                                              self.n_state, SSD_CHUNK)
-            per_layer += 6.0 * m * d_inner  # conv/gate activations
-            per_layer += 2.0 * m * d  # block ln + residual
+            per_layer += _mamba_block_values(m, d, self.block_variant, self.n_heads_ssm,
+                                             self.n_state)
         return vals + self.layers * per_layer
 
 

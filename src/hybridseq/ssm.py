@@ -15,10 +15,17 @@ input.
 
 Which scan runs where:
 
-* `mamba_block_forward` runs mamba2 on the chunked core `_ssd_scan` (chunk
-  `SSD_CHUNK`) and mamba1 on `scan_sequential`, in prefill, evaluation and
-  training alike.  Both are built from `numerics` ops, so they record a
-  graph under grad, meter their FLOPs, and run the same code without grad.
+* `mamba_block_forward` runs its whole body (norm, projection,
+  convolution, scan, gate, output projection, residual) over row groups
+  of `_SSD_GROUP * SSD_CHUNK` rows anchored at absolute stream positions.
+  A group hands the next one the SSM state and the convolution tail (the
+  last 3 raw branch inputs) as graph nodes, so gradients cross group
+  boundaries; a call inside one group runs the body once on its input.
+* Within a group, mamba2 runs the chunked core (`_ssd_rows`, chunk
+  `SSD_CHUNK`) and mamba1 the blocked sequential scan, in prefill,
+  evaluation and training alike.  Both are built from `numerics` ops, so
+  they record a graph under grad, meter their FLOPs, and run the same code
+  without grad.
 * `linear_recurrence` is the one hand-written recurrence (and VJP) in this
   module.  `scan_sequential` runs it over blocks of `SCAN_BLOCK` rows; the
   chunked core runs it to pass the state from chunk to chunk.
@@ -26,10 +33,17 @@ Which scan runs where:
 
 `SSMState` carries the hidden state `h`, the convolution tail and, after a
 chunked scan, the open chunk (`OpenChunk`: the state at the chunk's start
-plus its consumed rows of dA, B and x*delta).  The chunk grid is anchored at
-absolute positions and every chunk is evaluated at full width, so for a
-fixed chunk size a stream scanned in pieces is bit-identical to one scanned
-whole.
+plus its consumed rows of dA, B and x*delta).  The chunk and group grids
+are anchored at absolute positions and every chunk is evaluated at full
+width.  A row's result then depends on its position, not on where a call
+begins or ends, as long as every matrix product rounds each row the same
+whatever the number of rows.  OpenBLAS does not always: at d_model = 64 it
+switches kernels for the delta projection above 1953 rows.  No product in
+the block sees more than one group's rows, so a stream fed to the block in
+pieces is bit-identical to one fed whole, wherever it is cut.
+`scan_sequential` projects `SCAN_BLOCK` rows at a time and chains the same
+way; `_ssd_scan` called alone on longer inputs can differ from a cut
+stream in the last bit.
 """
 
 from __future__ import annotations
@@ -64,7 +78,7 @@ CONV_WIDTH = 4
 EXPAND = 2
 SSD_CHUNK = 64  # rows per chunk of the mamba2 block's scan
 SCAN_BLOCK = 64  # rows per block of the sequential scan
-_SSD_GROUP = 16  # chunks the chunked scan evaluates at once
+_SSD_GROUP = 16  # chunks per row group of the block
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +352,29 @@ def _scan_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s0: Tensor):
     return ng.reshape(ng.einsum2("thpn,tn->thp", s_all, c), (T, params.d_inner)), s_all
 
 
+def _sequential_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, position: int):
+    """`scan_sequential`'s body: the rows x [T, d_inner] of the stream at
+    `position` from the state s (a Tensor shaped like `SSMState.h`).
+    Returns (y, the end state as a Tensor of the same shape)."""
+    T = x.shape[0]
+    if T == 0:
+        return ng.slice_rows(x, 0, 0), s
+    h, p, n = params.n_heads, params.head_dim, params.n_state
+    shape = (params.d_inner, n) if params.variant == MAMBA1 else (h, p, n)
+    s = ng.reshape(s, shape)
+    ys = []
+    for lo in range(0, T, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, T)
+        y, s_all = _scan_rows(params, a_neg, x if hi - lo == T else ng.slice_rows(x, lo, hi), s)
+        bad = _first_bad_row(s_all.data, y.data)
+        if bad is not None:
+            raise NumericError(f"scan produced non-finite state at token {position + lo + bad}")
+        s = ng.reshape(ng.slice_rows(s_all, hi - lo - 1, hi - lo), shape)
+        ys.append(y)
+    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
+    return y, ng.reshape(s, (h, p, n))
+
+
 def scan_sequential(params: SSMParams, x: Tensor, state: SSMState | None = None):
     """Exact left-to-right selective scan over x [T, d_inner].
 
@@ -350,26 +387,10 @@ def scan_sequential(params: SSMParams, x: Tensor, state: SSMState | None = None)
     """
     if state is None:
         state = init_state(params)
-    T = x.shape[0]
-    if T == 0:
-        return ng.slice_rows(x, 0, 0), state.copy()
-    h, p, n = params.n_heads, params.head_dim, params.n_state
-    shape = (params.d_inner, n) if params.variant == MAMBA1 else (h, p, n)
     a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    s = Tensor(state.h.reshape(shape))
-    ys = []
-    for lo in range(0, T, SCAN_BLOCK):
-        hi = min(lo + SCAN_BLOCK, T)
-        y, s_all = _scan_rows(params, a_neg, x if hi - lo == T else ng.slice_rows(x, lo, hi), s)
-        bad = _first_bad_row(s_all.data, y.data)
-        if bad is not None:
-            raise NumericError(f"scan produced non-finite state at token {state.position + lo + bad}")
-        s = ng.reshape(ng.slice_rows(s_all, hi - lo - 1, hi - lo), shape)
-        ys.append(y)
-    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
-
-    new_state = SSMState(h=s.data.reshape(h, p, n).copy(), conv_tail=state.conv_tail.copy(),
-                         position=state.position + T)
+    y, s = _sequential_rows(params, a_neg, x, Tensor(state.h), state.position)
+    new_state = SSMState(h=s.data.copy(), conv_tail=state.conv_tail.copy(),
+                         position=state.position + x.shape[0])
     return y, new_state
 
 
@@ -415,6 +436,61 @@ def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: in
     return y, starts, ng.reshape(ng.slice_rows(ends, K - 1, K), (hh, n, p))
 
 
+def _ssd_rows(params: SSMParams, a_neg: Tensor, x: Tensor, h: Tensor,
+              oc: OpenChunk | None, position: int, chunk: int):
+    """The chunked scan over the rows x [T, d_inner] of the stream at
+    `position`, as `_ssd_scan` describes, evaluating every chunk they touch
+    at once.  Starts from the state h, a Tensor laid out as the chunks
+    carry it, [heads, n_state, head_dim], or from the open chunk `oc` when
+    one is carried.  Returns (y, the end state laid out as h, the new open
+    chunk or None)."""
+    T = x.shape[0]
+    hh, p, n = params.n_heads, params.head_dim, params.n_state
+    if T == 0:
+        return ng.slice_rows(x, 0, 0), h, None if oc is None else oc.copy()
+
+    delta, b, c = _selective_inputs(params, x)
+    da = ng.mul(delta, a_neg)  # [T, h], all entries < 0
+    xdt = ng.mul(ng.reshape(x, (T, hh, p)), ng.reshape(delta, (T, hh, 1)))  # [T, h, p]
+    bad = _first_bad_row(da.data, b.data, c.data, xdt.data)
+    if bad is not None:
+        raise NumericError(f"scan produced non-finite state at token {position + bad}")
+
+    r = 0 if oc is None else oc.da.shape[0]
+    q = chunk
+    rows = -(-(r + T) // q) * q
+    pad = rows - (r + T)
+
+    def frame(carried: np.ndarray | None, t: Tensor) -> Tensor:
+        # the open chunk's rows first, zero rows up to the chunk grid last
+        parts = [Tensor(carried)] if r else []
+        parts.append(t)
+        if pad:
+            parts.append(Tensor(np.zeros((pad,) + t.shape[1:])))
+        return ng.concat_rows(parts) if len(parts) > 1 else t
+
+    # carried rows read out nothing: their outputs were returned already
+    carried = (oc.da, oc.b, np.zeros((r, n)), oc.xdt) if r else (None,) * 4
+    framed = [frame(cr, t) for cr, t in zip(carried, (da, b, c, xdt))]
+    h0 = h if oc is None else Tensor(oc.h.transpose(0, 2, 1))
+    y, starts, h = _ssd_chunks(*framed, h0, q)
+    if r or pad:
+        y = ng.slice_rows(y, r, r + T)
+
+    bad = _first_bad_row(y.data)
+    if bad is None and not np.all(np.isfinite(h.data)):
+        bad = T - 1
+    if bad is not None:
+        raise NumericError(f"scan produced non-finite state at token {position + bad}")
+
+    open_chunk = None
+    if pad:
+        lo, hi = rows - q, rows - pad
+        open_chunk = OpenChunk(starts.data[-1].transpose(0, 2, 1).copy(),
+                               *(t.data[lo:hi].copy() for t in (framed[0], framed[1], framed[3])))
+    return y, h, open_chunk
+
+
 def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):
     """Chunked state-space-dual scan of mamba2 over x [T, d_inner].
 
@@ -423,8 +499,8 @@ def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):
     boundary states are passed on (Mamba-2, arXiv 2405.21060, sec. 6), so
     nothing of size [T, heads, head_dim, n_state] is kept, with or without
     grad.  Each chunk is laid out head-major, so every contraction is one
-    batched matmul, and at most `_SSD_GROUP` chunks are evaluated at once,
-    which bounds the working set at long inputs.
+    batched matmul.  All chunks of x are evaluated at once; the block bounds
+    the working set by cutting its rows into groups before the scan.
 
     The grid continues `state`: its open chunk is finished first, every
     chunk is evaluated at full width with zero rows after the input, and
@@ -437,66 +513,11 @@ def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):
         raise ContractError("the chunked scan requires the mamba2 variant")
     if chunk <= 0:
         raise ContractError("chunked scan: chunk size must be positive")
-    T = x.shape[0]
-    hh, p, n = params.n_heads, params.head_dim, params.n_state
-    if T == 0:
-        return ng.slice_rows(x, 0, 0), state.copy()
-
-    delta, b, c = _selective_inputs(params, x)
     a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    da = ng.mul(delta, a_neg)  # [T, h], all entries < 0
-    xdt = ng.mul(ng.reshape(x, (T, hh, p)), ng.reshape(delta, (T, hh, 1)))  # [T, h, p]
-    bad = _first_bad_row(da.data, b.data, c.data, xdt.data)
-    if bad is not None:
-        raise NumericError(f"scan produced non-finite state at token {state.position + bad}")
-
-    oc = state.open_chunk
-    if oc is None:
-        oc = OpenChunk(state.h, np.zeros((0, hh)), np.zeros((0, n)), np.zeros((0, hh, p)))
-    r = oc.da.shape[0]
-    q = chunk
-    rows = -(-(r + T) // q) * q
-    pad = rows - (r + T)
-
-    def frame(carried: np.ndarray, t: Tensor) -> Tensor:
-        # the open chunk's rows first, zero rows up to the chunk grid last
-        parts = [Tensor(carried)] if r else []
-        parts.append(t)
-        if pad:
-            parts.append(Tensor(np.zeros((pad,) + t.shape[1:])))
-        return ng.concat_rows(parts) if len(parts) > 1 else t
-
-    # carried rows read out nothing: their outputs were returned already
-    framed = [frame(oc.da, da), frame(oc.b, b), frame(np.zeros((r, n)), c), frame(oc.xdt, xdt)]
-    h = Tensor(oc.h.transpose(0, 2, 1))
-    # allocated before the chunk temporaries: a small array that outlives
-    # the call, allocated after them, can land among their freed blocks and
-    # keep the allocator from returning that memory (peak RSS +6 MB at M=8192)
-    h_final = np.empty((hh, p, n))
-    ys, step = [], _SSD_GROUP * q
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        group = framed if step >= rows else [ng.slice_rows(t, lo, hi) for t in framed]
-        y_g, starts, h = _ssd_chunks(*group, h, q)
-        ys.append(y_g)
-    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
-    if r or pad:
-        y = ng.slice_rows(y, r, r + T)
-
-    bad = _first_bad_row(y.data)
-    h_final[...] = h.data.transpose(0, 2, 1)
-    if bad is None and not np.all(np.isfinite(h_final)):
-        bad = T - 1
-    if bad is not None:
-        raise NumericError(f"scan produced non-finite state at token {state.position + bad}")
-
-    open_chunk = None
-    if pad:
-        lo, hi = rows - q, rows - pad
-        open_chunk = OpenChunk(starts.data[-1].transpose(0, 2, 1).copy(),
-                               *(t.data[lo:hi].copy() for t in (framed[0], framed[1], framed[3])))
-    new_state = SSMState(h=h_final, conv_tail=state.conv_tail.copy(),
-                         position=state.position + T, open_chunk=open_chunk)
+    y, h, open_chunk = _ssd_rows(params, a_neg, x, Tensor(state.h.transpose(0, 2, 1)),
+                                 state.open_chunk, state.position, chunk)
+    new_state = SSMState(h=h.data.transpose(0, 2, 1).copy(), conv_tail=state.conv_tail.copy(),
+                         position=state.position + x.shape[0], open_chunk=open_chunk)
     return y, new_state
 
 
@@ -512,23 +533,25 @@ def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def causal_conv4(params: SSMParams, xz: Tensor, tail: np.ndarray) -> Tensor:
+def causal_conv4(params: SSMParams, xz: Tensor, tail) -> Tensor:
     """Depthwise causal convolution of width 4 over time, as one graph node.
 
     y[t] = sum_j conv_w[j] * x_full[t + j] where x_full prepends the 3-row
-    tail; conv_w's last row therefore multiplies the current token.  Tap
-    j reads its first min(3 - j, T) rows from the tail and the rest from
-    xz, and the taps are summed in place in the order ((t0 + t1) + t2) + t3,
-    so the output equals the op-by-op sum bit for bit.
+    tail (an array or a Tensor); conv_w's last row therefore multiplies the
+    current token.  Tap j reads its first min(3 - j, T) rows from the tail
+    and the rest from xz, and the taps are summed in place in the order
+    ((t0 + t1) + t2) + t3, so the output equals the op-by-op sum bit for
+    bit.  The reverse pass returns the gradients of xz, conv_w and the tail.
     """
-    x, w = xz.data, params.conv_w.data
+    tail = tail if isinstance(tail, Tensor) else Tensor(tail)
+    x, w, tl = xz.data, params.conv_w.data, tail.data
     T = x.shape[0]
     y = np.empty_like(x)
     tap = np.empty_like(x)
     for j in range(CONV_WIDTH):
         k = min(CONV_WIDTH - 1 - j, T)
         out = y if j == 0 else tap
-        np.multiply(tail[j : j + k], w[j], out=out[:k])
+        np.multiply(tl[j : j + k], w[j], out=out[:k])
         np.multiply(x[: T - k], w[j], out=out[k:])
         if j:
             y += tap
@@ -538,16 +561,49 @@ def causal_conv4(params: SSMParams, xz: Tensor, tail: np.ndarray) -> Tensor:
     def vjp(g):
         gx = np.zeros_like(x)
         gw = np.empty_like(w)
+        gt = np.zeros_like(tl)
         prod = np.empty_like(x)
         for j in range(CONV_WIDTH):
             k = min(CONV_WIDTH - 1 - j, T)
             gx[: T - k] += g[k:] * w[j]
-            np.multiply(g[:k], tail[j : j + k], out=prod[:k])
+            gt[j : j + k] += g[:k] * w[j]
+            np.multiply(g[:k], tl[j : j + k], out=prod[:k])
             np.multiply(g[k:], x[: T - k], out=prod[k:])
             gw[j] = prod.sum(axis=0)
-        return gx, gw
+        return gx, gw, gt
 
-    return ng.custom_op(y, (xz, params.conv_w), vjp)
+    return ng.custom_op(y, (xz, params.conv_w, tail), vjp)
+
+
+def _block_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, tail,
+                oc: OpenChunk | None, position: int):
+    """The block body over the rows x of one group, at `position` in the
+    stream, from the SSM state s (laid out as the variant's scan carries
+    it), the convolution tail (the 3 raw branch inputs before x) and the
+    open chunk.  Returns (output, SSM state, tail, open chunk) for the next
+    group; s and the tail come back as Tensors."""
+    proj = ng.matmul(ng.layer_norm(x, params.norm_gain, params.norm_bias), params.w_in)
+    xz = ng.slice_cols(proj, 0, params.d_inner)
+    gate = ng.slice_cols(proj, params.d_inner, 2 * params.d_inner)
+    u = ng.silu(causal_conv4(params, xz, tail))
+    # the last 3 raw branch inputs resume the convolution in the next group
+    T, k = xz.shape[0], CONV_WIDTH - 1
+    if T >= k:
+        tail = ng.slice_rows(xz, T - k, T)
+    else:
+        tail = ng.concat_rows([ng.slice_rows(tail, T, k), xz])
+    # without grad nothing else holds these; letting them go before the scan
+    # lowers the block's peak (a recorded graph keeps them either way)
+    del proj, xz
+
+    if params.variant == MAMBA2:
+        y_ssm, s, oc = _ssd_rows(params, a_neg, u, s, oc, position, SSD_CHUNK)
+    else:
+        y_ssm, s = _sequential_rows(params, a_neg, u, s, position)
+
+    gated = ng.mul(y_ssm, ng.silu(gate))
+    out = ng.matmul(gated, params.w_out)
+    return ng.add(x, out), s, tail, oc
 
 
 def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = None):
@@ -557,6 +613,13 @@ def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = N
     gate branch) -> width-4 causal depthwise convolution -> SiLU ->
     selective scan -> SiLU-gated multiply -> output projection -> residual.
     Causal end to end; the returned state resumes the stream.
+
+    The body runs over groups of `_SSD_GROUP * SSD_CHUNK` rows anchored at
+    absolute stream positions.  Each group starts from the SSM state and
+    convolution tail the group before left, passed on as graph nodes, so
+    gradients cross group boundaries and, without grad, only one group's
+    temporaries are alive at a time.  A call inside one group runs the body
+    once on x itself.
     """
     if x.shape[1] != params.d_model:
         raise ContractError(
@@ -564,23 +627,25 @@ def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = N
         )
     if state is None:
         state = init_state(params)
+    # allocated before the group temporaries: a small array that outlives
+    # the call, allocated after them, can land among their freed blocks and
+    # keep the allocator from returning that memory (peak RSS +6 MB at M=8192)
+    h_end, tail_end = np.empty_like(state.h), np.empty_like(state.conv_tail)
+    a_neg = ng.mul(ng.exp(params.a_log), -1.0)
+    # mamba2's chunks carry the state as [heads, n_state, head_dim]
+    mamba2 = params.variant == MAMBA2
+    s = Tensor(state.h.transpose(0, 2, 1) if mamba2 else state.h)
+    tail, oc = state.conv_tail, state.open_chunk
 
-    proj = ng.matmul(ng.layer_norm(x, params.norm_gain, params.norm_bias), params.w_in)
-    xz = ng.slice_cols(proj, 0, params.d_inner)
-    gate = ng.slice_cols(proj, params.d_inner, 2 * params.d_inner)
-    # the last 3 raw branch inputs resume the convolution on the next call
-    conv_tail = np.concatenate([state.conv_tail, xz.data[1 - CONV_WIDTH:]])[1 - CONV_WIDTH:]
-    u = ng.silu(causal_conv4(params, xz, state.conv_tail))
-    # without grad nothing else holds these; letting them go before the scan
-    # lowers the block's peak (a recorded graph keeps them either way)
-    del proj, xz
+    T, size = x.shape[0], _SSD_GROUP * SSD_CHUNK
+    edges = [0, *range(size - state.position % size, T, size), T]
+    ys = []
+    for lo, hi in zip(edges, edges[1:]):
+        rows = x if hi - lo == T else ng.slice_rows(x, lo, hi)
+        y, s, tail, oc = _block_rows(params, a_neg, rows, s, tail, oc, state.position + lo)
+        ys.append(y)
+    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
 
-    if params.variant == MAMBA2:
-        y_ssm, new_state = _ssd_scan(params, u, state, SSD_CHUNK)
-    else:
-        y_ssm, new_state = scan_sequential(params, u, state)
-
-    gated = ng.mul(y_ssm, ng.silu(gate))
-    out = ng.matmul(gated, params.w_out)
-    new_state.conv_tail = conv_tail
-    return ng.add(x, out), new_state
+    h_end[...] = s.data.transpose(0, 2, 1) if mamba2 else s.data
+    tail_end[...] = tail.data
+    return y, SSMState(h_end, tail_end, state.position + T, oc)

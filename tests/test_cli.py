@@ -158,6 +158,19 @@ class TestEvalCommand:
         assert run(["eval", "--ckpt", str(bad), "--M", "6",
                     "--out", str(tmp_path / "x")]) == 3
 
+    def test_undecodable_checkpoint_exit_3(self, tmp_path, capsys):
+        # the config block's length now runs into the binary records
+        out1 = str(tmp_path / "t")
+        assert run(BASE_TRAIN + ["--out", out1, "--seed", "7"]) == 0
+        ckpt = os.path.join(out1, "model.ckpt")
+        raw = bytearray(open(ckpt, "rb").read())
+        raw[12] = 0xFF
+        with open(ckpt, "wb") as f:
+            f.write(bytes(raw))
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--M", "6", "--out", str(tmp_path / "e")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_non_finite_checkpoint_exit_3(self, tmp_path, capsys):
         out1 = str(tmp_path / "t")
         assert run(BASE_TRAIN + ["--out", out1, "--seed", "6"]) == 0

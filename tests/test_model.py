@@ -1,5 +1,8 @@
 """Tests for stack assembly, routing, prefill/decode, and checkpoints."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -495,6 +498,43 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
 
+
+    @staticmethod
+    def _tiny_image(tmp_path):
+        path = tmp_path / "tiny.ckpt"
+        save_checkpoint(build_model(small_config(d=4, n_layers=1, vocab_size=5), seed=36), str(path))
+        return path.read_bytes()
+
+    def test_truncation_at_every_byte_raises_format_error(self, tmp_path):
+        raw = self._tiny_image(tmp_path)
+        for k in range(len(raw)):
+            with pytest.raises(FormatError):
+                mod._model_from_bytes(raw[:k])
+
+    def test_corrupt_header_and_name_bytes_fail_at_the_boundary(self, tmp_path):
+        # every byte outside the float payloads, set to a few other values:
+        # the load succeeds or raises FormatError or ConfigError (both exit
+        # 3), never UnicodeDecodeError, ValueError or the like
+        raw = self._tiny_image(tmp_path)
+        (cfg_len,) = struct.unpack("<Q", raw[12:20])
+        off = 20 + cfg_len + 4
+        meta = list(range(off))  # magic, version, config block, parameter count
+        while off < len(raw):
+            (name_len,) = struct.unpack("<H", raw[off : off + 2])
+            ndim = raw[off + 2 + name_len]
+            end = off + 3 + name_len + 4 * ndim
+            meta += range(off, end)  # name length, name, rank, shape
+            off = end + 8 * math.prod(struct.unpack(f"<{ndim}I", raw[end - 4 * ndim : end]))
+        raised = set()
+        for i in meta:
+            for value in {raw[i] ^ 0xFF, raw[i] ^ 0x01, ord("0")} - {raw[i]}:
+                bad = bytearray(raw)
+                bad[i] = value
+                try:
+                    mod._model_from_bytes(bytes(bad))
+                except (FormatError, ConfigError) as exc:
+                    raised.add(type(exc))
+        assert raised == {FormatError, ConfigError}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_fails_on_load(self, tmp_path, bad):

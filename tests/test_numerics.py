@@ -246,6 +246,55 @@ class TestBackward:
                 assert pos[id(p)] < pos[id(node)]
 
 
+class TestRowSliceAdjoints:
+    """Row-slice adjoints are added in place into buffers the tape owns."""
+
+    @pytest.mark.parametrize("slice_first", [False, True])
+    def test_shared_adjoint_is_copied_before_the_in_place_add(self, slice_first):
+        # add's VJP hands one array to both parents; writing a slice of x's
+        # adjoint into it would leak into z's
+        rng = ng.new_rng(5)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        z = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w, w2 = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+        whole = ng.tsum(ng.mul(ng.add(x, z), Tensor(w)))
+        part = ng.tsum(ng.mul(ng.slice_rows(x, 1, 3), Tensor(w2)))
+        backward(ng.add(part, whole) if slice_first else ng.add(whole, part))
+        expected = w.copy()
+        expected[1:3] += w2
+        assert np.array_equal(z.grad, w)
+        assert np.array_equal(x.grad, expected)
+
+    def test_view_adjoint_is_copied_before_the_in_place_add(self):
+        # concat_rows hands each part a view of its own adjoint
+        rng = ng.new_rng(6)
+        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        z = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+        cat = ng.concat_rows([x, z])
+        w, w2 = rng.standard_normal((5, 2)), rng.standard_normal((1, 2))
+        loss = ng.add(ng.tsum(ng.mul(cat, Tensor(w))),
+                      ng.tsum(ng.mul(ng.slice_rows(x, 2, 3), Tensor(w2))))
+        adj = GradTape(loss).run()
+        assert np.array_equal(adj[id(cat)], w)
+        expected = w[:3].copy()
+        expected[2:] += w2
+        assert np.array_equal(adj[id(x)], expected)
+        assert np.array_equal(adj[id(z)], w[3:])
+
+    def test_blocks_sum_to_the_dense_adjoint(self):
+        # every row once through a block of a row split, some rows again
+        rng = ng.new_rng(7)
+        x = Tensor(rng.standard_normal((10, 3)), requires_grad=True)
+        w = rng.standard_normal((10, 3))
+        parts = [ng.slice_rows(x, lo, min(lo + 4, 10)) for lo in range(0, 10, 4)]
+        loss = ng.add(ng.tsum(ng.mul(ng.concat_rows(parts), Tensor(w))),
+                      ng.tsum(ng.slice_rows(x, 3, 6)))
+        backward(loss)
+        expected = w.copy()
+        expected[3:6] += 1.0
+        assert np.array_equal(x.grad, expected)
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         x = Tensor(np.array([1.0, 2.0]))

@@ -290,7 +290,7 @@ class TestScanMemory:
 
     @pytest.mark.parametrize("t", [256, 1000, 1100])
     def test_ssd_scan_values_match_what_the_graph_keeps(self, t):
-        # 1000 rows pad the last chunk; 1100 rows also cut the chunks into groups
+        # 1000 and 1100 rows pad the last chunk
         params = ssm.init_ssm_params(ng.new_rng(0), 64, "mamba2")
         x = Tensor(ng.new_rng(1).standard_normal((t, params.d_inner)) * 0.5,
                    requires_grad=True)
@@ -318,6 +318,26 @@ class TestScanMemory:
             tracemalloc.stop()
         est = 8 * pf._sequential_scan_values(t, params.d_inner, params.n_state, ssm.SCAN_BLOCK)
         assert 0.9 < est / kept < 1.1, f"estimate {est / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
+
+    def test_block_values_follow_the_row_groups(self):
+        # the estimate undercounts the block's activations by the same share
+        # whether its body runs in one row group or in three (the last one
+        # padded), so the groups themselves are charged for what they keep
+        params = ssm.init_ssm_params(ng.new_rng(0), 64, "mamba2", out_init_std=0.02)
+        ratios = []
+        for t in (ssm._SSD_GROUP * ssm.SSD_CHUNK, 2 * ssm._SSD_GROUP * ssm.SSD_CHUNK + 37):
+            x = Tensor(ng.new_rng(1).standard_normal((t, 64)), requires_grad=True)
+            tracemalloc.start()
+            try:
+                y, _ = ssm.mamba_block_forward(params, x)
+                kept, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del y, x
+            est = 8 * pf._mamba_block_values(t, 64, "mamba2", params.n_heads, params.n_state)
+            ratios.append(est / kept)
+        assert 0.75 < ratios[0] < 1.0
+        assert 0.97 < ratios[1] / ratios[0] < 1.03, ratios
 
     @pytest.mark.parametrize("m", [256, 1024])
     def test_estimate_tracks_recorded_forward(self, m):

@@ -364,7 +364,7 @@ def conv_by_ops(params, xz, tail):
     """The causal convolution as a composition of graph ops: prepend the
     tail, slice each tap, multiply, then sum ((t0 + t1) + t2) + t3."""
     T = xz.shape[0]
-    x_full = ng.concat_rows([Tensor(tail), xz])
+    x_full = ng.concat_rows([tail, xz])
     y = None
     for j in range(ssm.CONV_WIDTH):
         tap = ng.mul(ng.slice_rows(x_full, j, j + T), ng.slice_rows(params.conv_w, j, j + 1))
@@ -391,18 +391,21 @@ class TestCausalConv:
         p = make_params(MAMBA2, d_model=2, seed=63)
         rng = ng.new_rng(64)
         xz = Tensor(rng.standard_normal((T, p.d_inner)), requires_grad=True)
-        tail = rng.standard_normal((3, p.d_inner))
+        tail = Tensor(rng.standard_normal((3, p.d_inner)), requires_grad=True)
         w_out = Tensor(rng.standard_normal((T, p.d_inner)))
 
         def grads(conv):
-            xz.grad = p.conv_w.grad = None
+            xz.grad = p.conv_w.grad = tail.grad = None
             backward(ng.tsum(ng.mul(conv(p, xz, tail), w_out)))
-            return xz.grad.copy(), p.conv_w.grad.copy()
+            return xz.grad.copy(), p.conv_w.grad.copy(), tail.grad.copy()
 
-        gx, gw = grads(ssm.causal_conv4)
-        ref_x, ref_w = grads(conv_by_ops)
+        gx, gw, gt = grads(ssm.causal_conv4)
+        ref_x, ref_w, ref_t = grads(conv_by_ops)
         assert np.max(np.abs(gx - ref_x)) < 1e-13
         assert np.max(np.abs(gw - ref_w)) < 1e-13
+        assert np.max(np.abs(gt - ref_t)) < 1e-13
+        fd_t = finite_diff_grad(lambda t: ng.tsum(ng.mul(ssm.causal_conv4(p, xz, t), w_out)), tail)
+        assert rel_err(gt, fd_t) < 1e-6
 
         fd_x = finite_diff_grad(lambda t: ng.tsum(ng.mul(ssm.causal_conv4(p, t, tail), w_out)), xz)
         w0 = p.conv_w
@@ -419,10 +422,12 @@ class TestCausalConv:
         assert rel_err(gw, fd_w) < 1e-6
 
     def test_one_graph_node(self):
+        # the carried tail is a parent: a block's groups pass it on under grad
         p = make_params(MAMBA2, d_model=2, seed=65)
         xz = Tensor(ng.new_rng(66).standard_normal((5, p.d_inner)), requires_grad=True)
-        y = ssm.causal_conv4(p, xz, np.zeros((3, p.d_inner)))
-        assert y._parents == (xz, p.conv_w)
+        tail = Tensor(np.zeros((3, p.d_inner)), requires_grad=True)
+        y = ssm.causal_conv4(p, xz, tail)
+        assert y._parents == (xz, p.conv_w, tail)
 
 
 class TestMambaBlock:
@@ -676,8 +681,8 @@ class TestChunkedBlockScan:
             assert max_rel_diff(a, b) < 1e-12, name
 
     def test_chunk_groups_chain_values_and_gradients(self):
-        # a small chunk puts several chunk groups in one call: the state
-        # and its adjoint must pass between groups as between chunks
+        # a small chunk puts many chunks in one call, and a cut inside one:
+        # the state and its adjoint must pass from chunk to chunk
         chunk = 3
         T = 2 * ssm._SSD_GROUP * chunk + 5
         p = self._oracle_params()
@@ -741,3 +746,91 @@ class TestChunkedBlockScan:
         cp.open_chunk.da[0, 0] = 123.0
         cp.open_chunk.h[0, 0, 0] = 123.0
         assert st.open_chunk.da[0, 0] != 123.0 and st.open_chunk.h[0, 0, 0] != 123.0
+
+
+class TestBlockGroups:
+    """The block runs its body over groups of _SSD_GROUP * SSD_CHUNK rows
+    anchored at absolute positions, carrying the state from group to group."""
+
+    G = ssm._SSD_GROUP * SSD_CHUNK
+
+    def test_chaining_is_bit_exact_at_every_cut(self):
+        # products of more than 1953 rows round differently from shorter
+        # ones; anchored groups keep every product at most G rows long
+        T = 4 * self.G
+        p = make_params(MAMBA2, d_model=64, seed=18, out_std=0.02)
+        x = ng.new_rng(39).standard_normal((T, 64))
+        with ng.no_grad():
+            y_full, st_full = mamba_block_forward(p, Tensor(x))
+            splits = [[0, cut, T] for cut in (self.G - 1, self.G, self.G + 1, 1000, 1953, 1954)]
+            splits.append(list(range(0, T, 100)) + [T])
+            for edges in splits:
+                st, ys = None, []
+                for lo, hi in zip(edges, edges[1:]):
+                    y, st = mamba_block_forward(p, Tensor(x[lo:hi]), st)
+                    ys.append(y.data)
+                assert np.array_equal(np.concatenate(ys), y_full.data), edges[:3]
+                assert np.array_equal(st.h, st_full.h), edges[:3]
+                assert np.array_equal(st.conv_tail, st_full.conv_tail), edges[:3]
+                assert st.position == T
+
+    @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
+    @pytest.mark.parametrize("prefix", [0, 500])
+    def test_recorded_groups_match_directional_finite_differences(self, variant, prefix):
+        # a prefix of 500 rows moves the group edges off the call's start
+        # and leaves a chunk open
+        p = make_params(variant, d_model=2, seed=19, out_std=0.3)
+        rng = ng.new_rng(74)
+        p.delta_bias = Tensor(np.log(np.expm1(rng.uniform(0.3, 0.9, p.n_delta))),
+                              requires_grad=True)
+        T = 2 * self.G + 37
+        x0 = rng.standard_normal((T, 2))
+        w = Tensor(rng.standard_normal((T, 2)))
+        state = None
+        if prefix:
+            with ng.no_grad():
+                _, state = mamba_block_forward(p, Tensor(rng.standard_normal((prefix, 2))))
+
+        def loss(xt):
+            return ng.tsum(ng.mul(mamba_block_forward(p, xt, state)[0], w))
+
+        xt = Tensor(x0, requires_grad=True)
+        y_rec, _ = mamba_block_forward(p, xt, state)
+        backward(ng.tsum(ng.mul(y_rec, w)))
+        with ng.no_grad():
+            y_ng, _ = mamba_block_forward(p, Tensor(x0), state)
+        assert np.array_equal(y_ng.data, y_rec.data)
+
+        names = ["x", "w_in", "conv_w", "a_log", "w_out"]
+        for name in names:
+            target = xt if name == "x" else getattr(p, name)
+            grad = target.grad
+            v = rng.standard_normal(target.shape)
+            v /= np.linalg.norm(v)
+            base, h = target.data, 1e-5
+
+            def at(sign):
+                target.data = base + sign * h * v
+                try:
+                    with ng.no_grad():
+                        return loss(Tensor(xt.data)).item()
+                finally:
+                    target.data = base
+
+            fd = (at(1.0) - at(-1.0)) / (2 * h)
+            ad = float(np.sum(grad * v))
+            assert abs(ad - fd) < 1e-6 * max(1.0, abs(fd)), (name, ad, fd)
+
+    def test_no_grad_peak_does_not_scale_with_the_stream(self):
+        # one group's temporaries, the group outputs and their concatenation
+        T = 32 * self.G
+        p = make_params(MAMBA2, d_model=64, seed=20, out_std=0.02)
+        x = Tensor(ng.new_rng(40).standard_normal((T, 64)))
+        with ng.no_grad():
+            tracemalloc.start()
+            try:
+                mamba_block_forward(p, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
