@@ -16,15 +16,15 @@ scores coincide bit-for-bit with the video columns of the joint path's
 score matrix (the two paths then diverge only through their softmax
 normalization sets).
 
-Every op has two execution modes sharing one math definition: a graph-
-recording mode built from tensor primitives, and one numpy kernel,
-`_attend`, used when gradients are off.  `_attend` serves prefill, cross-
-attention and both decode branches.  It takes query rows in tiles of
-`SCORE_BUDGET // (n_heads * Lk)` rows, so its [n_heads, rows, Lk] score
-tile stays cache-sized at every key length, and it evaluates all heads of a
-tile with one batched matmul for the scores and one for the values.  The
-softmax is exact, and the full score rectangle is computed, masked
-entries included, so both modes report identical FLOP counts to the meter.
+Every op runs one kernel, `_attend`, with gradients on or off: training,
+prefill, cross-attention and both decode branches.  It takes query rows in
+tiles of `SCORE_BUDGET // (n_heads * Lk)` rows, so its [n_heads, rows, Lk]
+score tile stays cache-sized at every key length, and it evaluates all
+heads of a tile with one batched matmul for the scores and one for the
+values.  The softmax is exact, and the full score rectangle is computed,
+masked entries included.  Under grad the kernel is one graph node
+(`_attention`) between `numerics.matmul` projections; it keeps the
+probabilities of every head for its hand-written reverse pass.
 """
 
 from __future__ import annotations
@@ -143,53 +143,9 @@ def init_cross_from_self(params_s: AttentionParams) -> AttentionParams:
 # --------------------------------------------------------------------------
 
 
-def _recording(params: AttentionParams, *tensors: Tensor) -> bool:
-    if not ng.is_grad_enabled():
-        return False
-    return params.w_q.requires_grad or any(t.requires_grad for t in tensors)
-
-
 def _check_width(params: AttentionParams, x: Tensor, what: str) -> None:
     if x.ndim != 2 or x.shape[1] != params.d:
         raise ShapeError(f"{what} must be [*, {params.d}], got {x.shape}")
-
-
-def _mha_tape(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray) -> Tensor:
-    """Graph-recording multi-head attention.
-
-    `key_blocks` is a list of [L_i, d] tensors whose concatenation forms the
-    key/value source; scores are computed block-by-block so each block's
-    logits are bit-identical to a standalone attention over that block.
-    """
-    dh = params.head_dim
-    scale = 1.0 / math.sqrt(dh)
-    lk_total = sum(b.shape[0] for b in key_blocks)
-    mask = np.arange(lk_total)[None, :] <= allowed_upto[:, None]
-
-    q_full = ng.matmul(q_x, params.w_q)
-    k_full = [ng.matmul(b, params.w_k) for b in key_blocks]
-    v_full = [ng.matmul(b, params.w_v) for b in key_blocks]
-
-    head_outs = []
-    for h in range(params.n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        q_h = ng.slice_cols(q_full, lo, hi)
-        score_blocks = [
-            ng.matmul(q_h, ng.transpose(ng.slice_cols(k, lo, hi))) for k in k_full
-        ]
-        scores = ng.mul(
-            score_blocks[0] if len(score_blocks) == 1 else ng.concat_cols(score_blocks),
-            scale,
-        )
-        probs = ng.softmax_rows(scores, mask=None if mask.all() else mask)
-        v_h = (
-            ng.slice_cols(v_full[0], lo, hi)
-            if len(v_full) == 1
-            else ng.concat_rows([ng.slice_cols(v, lo, hi) for v in v_full])
-        )
-        head_outs.append(ng.matmul(probs, v_h))
-    merged = head_outs[0] if len(head_outs) == 1 else ng.concat_cols(head_outs)
-    return ng.matmul(merged, params.w_o)
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -197,9 +153,15 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
 
 
+def _merged(h: np.ndarray) -> np.ndarray:
+    """[n_heads, L, head_dim] as [L, n_heads * head_dim] rows (a copy)."""
+    return h.transpose(1, 0, 2).reshape(h.shape[1], -1)
+
+
 def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
-            allowed_upto: np.ndarray, what: str) -> np.ndarray:
-    """No-grad multi-head attention core; returns the merged heads, [Lq, d].
+            allowed_upto: np.ndarray, what: str,
+            probs: np.ndarray | None = None) -> np.ndarray:
+    """The multi-head attention kernel; returns the merged heads, [Lq, d].
 
     `qh` is [n_heads, Lq, head_dim], `kt` the keys transposed,
     [n_heads, head_dim, Lk], and `vh` [n_heads, Lk, head_dim]; views are
@@ -207,9 +169,10 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
     in tiles sized so that one [n_heads, rows, Lk] score tile holds at most
     SCORE_BUDGET values.  Columns past a tile's last allowed column are
     filled with -inf by slice, and only the [rows, last - first] band
-    between its first and last allowed column needs a boolean mask.
-    Raises NumericError naming `what` and the first query row whose output
-    is not finite.
+    between its first and last allowed column needs a boolean mask.  With
+    `probs` ([n_heads, Lq, Lk]) the probabilities are computed in place
+    there.  Raises NumericError naming `what` and the first query row whose
+    output is not finite.
     """
     nh, lq, dh = qh.shape
     lk = kt.shape[2]
@@ -221,7 +184,7 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
         hi = min(lo + rows, lq)
         allowed = allowed_upto[lo:hi]
         first, last = int(allowed.min()) + 1, int(allowed.max()) + 1
-        s = np.matmul(qh[:, lo:hi], kt)
+        s = np.matmul(qh[:, lo:hi], kt, out=None if probs is None else probs[:, lo:hi])
         s *= scale
         s[:, :, last:] = -np.inf
         if first < last:
@@ -231,6 +194,8 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
         np.exp(s, out=s)
         s /= s.sum(axis=2, keepdims=True)
         np.matmul(s, vh, out=out[lo:hi].transpose(1, 0, 2))
+    ng.meter_add("matmul", 2.0 * lq * lk * dh * nh * 2)
+    ng.meter_add("softmax", ng.FLOP_COST["softmax"] * float(lq) * lk * nh)
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(
@@ -239,39 +204,48 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
     return out.reshape(lq, nh * dh)
 
 
-def _mha_fast(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
-              what: str, kv_sink: list | None = None) -> Tensor:
-    """No-grad attention through `_attend`; same FLOP counts as the tape."""
-    d, dh, nh = params.d, params.head_dim, params.n_heads
-    lq = q_x.shape[0]
+def _attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+               allowed_upto: np.ndarray, what: str) -> Tensor:
+    """`_attend` over projected rows q [Lq, d], k and v [Lk, d], one graph
+    node.  A recorded call keeps every head's probabilities P for the reverse
+    pass (FlashAttention, arXiv 2205.14135, appendix B), per head: dV = P^T dO,
+    dS = P o (dO V^T - rowsum(dO o O)) * scale, dQ = dS K, dK = dS^T Q."""
+    qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
+    recorded = ng.is_grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
+    probs = np.empty((n_heads, q.shape[0], k.shape[0])) if recorded else None
+    out = _attend(qh, kh.transpose(0, 2, 1), vh, allowed_upto, what, probs)
+    scale = 1.0 / math.sqrt(qh.shape[2])
 
-    q = q_x.data @ params.w_q.data
-    if len(key_blocks) == 1:
-        keys = key_blocks[0].data
-    else:
-        keys = np.concatenate([b.data for b in key_blocks], axis=0)
-    k = keys @ params.w_k.data
-    v = keys @ params.w_v.data
-    lk = k.shape[0]
-    ng.meter_add("matmul", 2.0 * (lq + 2 * lk) * d * d)
-    kh, vh = _heads(k, nh), _heads(v, nh)
+    def vjp(g):
+        gh = _heads(g, n_heads)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = _merged(np.matmul(probs.transpose(0, 2, 1), gh))
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(gh, vh.transpose(0, 2, 1))
+            ds -= np.sum(gh * _heads(out, n_heads), axis=2, keepdims=True)
+            ds *= probs
+            ds *= scale
+            if q.requires_grad:
+                gq = _merged(np.matmul(ds, kh))
+            if k.requires_grad:
+                gk = _merged(np.matmul(ds.transpose(0, 2, 1), qh))
+        return gq, gk, gv
+
+    return ng.custom_op(out, (q, k, v), vjp)
+
+
+def _mha(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
+         what: str, kv_sink: list | None = None) -> Tensor:
+    """Rows q_x attending over the concatenated key blocks; `kv_sink` (a
+    list) receives the projected keys and values, [n_heads, Lk, head_dim]."""
+    keys = key_blocks[0] if len(key_blocks) == 1 else ng.concat_rows(key_blocks)
+    q = ng.matmul(q_x, params.w_q)
+    k, v = ng.matmul(keys, params.w_k), ng.matmul(keys, params.w_v)
     if kv_sink is not None:
-        kv_sink.append((kh, vh))
-
-    out = _attend(_heads(q, nh), kh.transpose(0, 2, 1), vh, allowed_upto, what)
-    ng.meter_add("matmul", 2.0 * lq * lk * dh * nh * 2)
-    ng.meter_add("softmax", ng.FLOP_COST["softmax"] * float(lq) * lk * nh)
-    result = out @ params.w_o.data
-    ng.meter_add("matmul", 2.0 * lq * d * d)
-    return Tensor(result)
-
-
-def _mha(params, q_x, key_blocks, allowed_upto, what, kv_sink=None):
-    if _recording(params, q_x, *key_blocks):
-        if kv_sink is not None:
-            raise ContractError(f"{what}: a key/value sink needs gradients off")
-        return _mha_tape(params, q_x, key_blocks, allowed_upto)
-    return _mha_fast(params, q_x, key_blocks, allowed_upto, what, kv_sink)
+        kv_sink.append((_heads(k.data, params.n_heads), _heads(v.data, params.n_heads)))
+    out = _attention(q, k, v, params.n_heads, allowed_upto, what)
+    return ng.matmul(out, params.w_o)
 
 
 # --------------------------------------------------------------------------
@@ -284,9 +258,9 @@ def causal_self_attention(params: AttentionParams, x: Tensor,
     """Multi-head causal self-attention over x [L, d]; position i attends
     to positions 1..i, scaled by 1/sqrt(head_dim).
 
-    With gradients off, `kv_sink` (a list) receives the keys and values the
-    call projects, as one (k, v) pair of [n_heads, L, head_dim] arrays; this
-    is how prefill fills its decode caches without projecting twice."""
+    `kv_sink` (a list) receives the keys and values the call projects, as
+    one (k, v) pair of [n_heads, L, head_dim] arrays; this is how prefill
+    fills its decode caches without projecting twice."""
     _check_width(params, x, "input")
     if x.shape[0] < 1:
         raise ContractError("causal_self_attention: need at least one position")
@@ -330,7 +304,7 @@ def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
     if isinstance(video, VideoKVCache):
         if video.m == 0:
             raise ContractError("cross_attention: empty video cache")
-        return _cross_from_cache(params_c, text_q, video)
+        return Tensor(attend_cached(params_c, text_q.data, video.k, video.v, "cross-attention"))
     if video.shape[0] == 0:
         raise ContractError(
             "cross_attention: no video tokens; text-only sequences bypass the cross branch"
@@ -343,21 +317,15 @@ def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
 
 def attend_cached(params: AttentionParams, x_ln: np.ndarray, k: np.ndarray,
                   v: np.ndarray, what: str) -> np.ndarray:
-    """Unmetered attention of rows x_ln [n, d] over every cached key/value,
-    k and v [n_heads, L, head_dim]; returns [n, d]."""
-    q = x_ln @ params.w_q.data
+    """Attention of rows x_ln [n, d] over every cached key/value, k and v
+    [n_heads, L, head_dim]; returns [n, d], metered.  Its products round as
+    `_mha`'s `numerics.matmul` does, so a cached branch equals the inline
+    one bit for bit."""
+    q = ng.rows_product(x_ln, params.w_q.data)
     out = _attend(_heads(q, params.n_heads), k.transpose(0, 2, 1), v,
                   np.full(q.shape[0], k.shape[1] - 1), what)
-    return out @ params.w_o.data
-
-
-def _cross_from_cache(params_c, text_q: Tensor, cache: VideoKVCache) -> Tensor:
-    d, dh, nh = params_c.d, params_c.head_dim, params_c.n_heads
-    n = text_q.shape[0]
-    result = attend_cached(params_c, text_q.data, cache.k, cache.v, "cross-attention")
-    ng.meter_add("matmul", 2.0 * n * d * d * 2 + 2.0 * n * cache.m * dh * nh * 2)
-    ng.meter_add("softmax", ng.FLOP_COST["softmax"] * float(n) * cache.m * nh)
-    return Tensor(result)
+    ng.meter_add("matmul", 2.0 * 2 * q.shape[0] * params.d * params.d)
+    return ng.rows_product(out, params.w_o.data)
 
 
 def blended_text_update(

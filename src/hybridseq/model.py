@@ -584,13 +584,6 @@ class DecodeContext:
     caches: list[LayerCache]
 
 
-def _kv_heads(params: AttentionParams, x_ln: np.ndarray):
-    nh, dh = params.n_heads, params.head_dim
-    k = (x_ln @ params.w_k.data).reshape(-1, nh, dh).transpose(1, 0, 2)
-    v = (x_ln @ params.w_v.data).reshape(-1, nh, dh).transpose(1, 0, 2)
-    return np.ascontiguousarray(k), np.ascontiguousarray(v)
-
-
 def _layer_norm_np(x: np.ndarray, norm: NormParams, eps: float = 1e-6) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -636,7 +629,8 @@ def decode_step(model: Model, ctx: DecodeContext, token_embedding):
     with ng.no_grad():
         for layer, cache in zip(model.layers, ctx.caches):
             x_ln = _layer_norm_np(x, layer.attn_norm)
-            k_new, v_new = _kv_heads(layer.self_attn, x_ln)
+            k_new, v_new = (attn._heads(x_ln @ w.data, layer.self_attn.n_heads)
+                            for w in (layer.self_attn.w_k, layer.self_attn.w_v))
             grown = cache.extended(k_new, v_new)
             caches.append(grown)
             attn_out = attn.attend_cached(layer.self_attn, x_ln, grown.text_k, grown.text_v,

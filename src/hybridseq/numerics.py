@@ -48,6 +48,7 @@ __all__ = [
     "tensor",
     "zeros",
     "matmul",
+    "rows_product",
     "bmatmul",
     "einsum2",
     "transpose",
@@ -350,8 +351,9 @@ def _leaf(data: np.ndarray) -> Tensor:
 def custom_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Build a tensor from a hand-written primitive.
 
-    `vjp(g)` must return one gradient (or None) per parent, computed in raw
-    numpy.  Used for fused operations whose reverse pass is cheaper or
+    `vjp(g)` must return one gradient per parent, computed in raw numpy,
+    and None (without computing it) for a parent whose `requires_grad` is
+    False.  Used for fused operations whose reverse pass is cheaper or
     numerically cleaner written by hand (e.g. the state-space scan).
     """
     return _node(np.asarray(data, dtype=np.float64), tuple(parents), vjp)
@@ -359,7 +361,7 @@ def custom_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
-    if grad.shape == shape:
+    if grad is None or grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
@@ -381,7 +383,8 @@ def add(a, b) -> Tensor:
     _meter_elementwise("add", out.size)
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp)
 
@@ -392,7 +395,8 @@ def sub(a, b) -> Tensor:
     _meter_elementwise("sub", out.size)
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp)
 
@@ -404,7 +408,8 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape))
+        return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp)
 
@@ -417,11 +422,19 @@ def div(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g / bd, a.shape),
-            _unbroadcast(-g * ad / (bd * bd), b.shape),
+            _unbroadcast(g / bd, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None,
         )
 
     return _node(out, (a, b), vjp)
+
+
+def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D arrays, with each row rounded as in a product of many
+    rows.  numpy hands a one-row product to gemv, which rounds differently
+    from gemm; two rows keep it on gemm, so a row's result does not depend
+    on how many rows share the call (stream chaining relies on that)."""
+    return (np.concatenate([a, a]) @ b)[:1] if a.shape[0] == 1 else a @ b
 
 
 def matmul(a, b) -> Tensor:
@@ -431,19 +444,13 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    if a.shape[0] == 1:
-        # numpy hands a one-row product to gemv, which rounds differently
-        # from gemm; two rows keep it on gemm, so a row's result does not
-        # depend on how many rows share the call (stream chaining relies
-        # on that)
-        out = (np.concatenate([a.data, a.data]) @ b.data)[:1]
-    else:
-        out = a.data @ b.data
+    out = rows_product(a.data, b.data)
     meter_add("matmul", 2.0 * a.shape[0] * a.shape[1] * b.shape[1])
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return (g @ bd.T, ad.T @ g)
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _node(out, (a, b), vjp)
 
@@ -465,8 +472,8 @@ def bmatmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2)) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g) if b.requires_grad else None
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
     return _node(out, (a, b), vjp)
@@ -505,8 +512,8 @@ def einsum2(spec: str, a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = np.einsum(f"{out_spec},{sb}->{sa}", g, bd)
-        gb = np.einsum(f"{out_spec},{sa}->{sb}", g, ad)
+        ga = np.einsum(f"{out_spec},{sb}->{sa}", g, bd) if a.requires_grad else None
+        gb = np.einsum(f"{out_spec},{sa}->{sb}", g, ad) if b.requires_grad else None
         return (ga, gb)
 
     return _node(out, (a, b), vjp)
@@ -551,7 +558,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def concat_rows(parts) -> Tensor:
-    """Concatenate along axis 0."""
+    """Concatenate along axis 0; a part whose adjoint rows are all zero gets none."""
     parts = [_coerce(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=0)
     sizes = [p.shape[0] for p in parts]
@@ -559,8 +566,9 @@ def concat_rows(parts) -> Tensor:
     def vjp(g):
         grads = []
         off = 0
-        for n in sizes:
-            grads.append(g[off : off + n])
+        for p, n in zip(parts, sizes):
+            gp = g[off : off + n]
+            grads.append(gp if p.requires_grad and gp.any() else None)
             off += n
         return tuple(grads)
 
@@ -576,8 +584,8 @@ def concat_cols(parts) -> Tensor:
     def vjp(g):
         grads = []
         off = 0
-        for n in sizes:
-            grads.append(g[:, off : off + n])
+        for p, n in zip(parts, sizes):
+            grads.append(g[:, off : off + n] if p.requires_grad else None)
             off += n
         return tuple(grads)
 
@@ -859,13 +867,15 @@ def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
     gd = gain.data
 
     def vjp(g):
-        dxhat = g * gd
         red = tuple(range(x.ndim - 1))
-        dgain = (g * xhat).sum(axis=red)
-        dbias = g.sum(axis=red)
-        mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+        dgain = (g * xhat).sum(axis=red) if gain.requires_grad else None
+        dbias = g.sum(axis=red) if bias.requires_grad else None
+        dx = None
+        if a.requires_grad:
+            dxhat = g * gd
+            mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+            mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
         return (dx, dgain, dbias)
 
     return _node(out, (a, gain, bias), vjp)
@@ -944,8 +954,9 @@ def backward(loss: Tensor, accumulate: bool = False) -> dict[Tensor, np.ndarray]
     """Reverse-mode sweep from a scalar loss.
 
     Populates `.grad` on every reachable requires_grad leaf and returns a
-    map from those leaves to their adjoints.  With accumulate=True existing
-    `.grad` buffers are added to instead of replaced.
+    map from those leaves to their adjoints (zeros where no adjoint reached
+    one).  With accumulate=True existing `.grad` buffers are added to
+    instead of replaced.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -955,9 +966,7 @@ def backward(loss: Tensor, accumulate: bool = False) -> dict[Tensor, np.ndarray]
     for node in tape.nodes:
         if node.requires_grad and node._vjp is None:
             g = adj.get(id(node))
-            if g is None:
-                continue
-            g = g.reshape(node.shape)
+            g = np.zeros(node.shape) if g is None else g.reshape(node.shape)
             if accumulate and node.grad is not None:
                 node.grad = node.grad + g
             else:

@@ -153,8 +153,7 @@ def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int
         full, last = divmod(m, size)
         vals = (full * _ssd_scan_values(size, d_inner, n_heads, n_state, SSD_CHUNK)
                 + _ssd_scan_values(last, d_inner, n_heads, n_state, SSD_CHUNK))
-    vals += 6.0 * m * d_inner  # conv/gate activations
-    vals += 2.0 * m * d  # block ln + residual
+    vals += m * (10.0 * d_inner + 4 * d + 1)  # norm, projections, conv, SiLUs, gate, residual
     return vals + 2.0 * m * d * (m > size)
 
 
@@ -238,9 +237,10 @@ class CostModel:
     def memory_values(self, m: int, n: int) -> float:
         """Live float64 activation values with reverse-pass retention.
 
-        The quadratic culprit is retained per layer: score and probability
-        matrices of every head.  The hybrid instead retains M x N cross
-        scores, N^2 self scores, and what its block keeps for the reverse
+        The quadratic culprit is retained per layer: the probability matrix
+        of every head, which attention keeps for its reverse pass (its
+        scores are not kept).  The hybrid instead retains M x N cross and
+        N^2 self probabilities, and what its block keeps for the reverse
         pass (`_mamba_block_values`): its activations plus, for mamba1, the
         sequential scan's per-step stages and states
         (`_sequential_scan_values`), for mamba2 the chunked scan's
@@ -251,11 +251,11 @@ class CostModel:
         r = m + n
         vals = float(r * d)  # embeddings
         if self.architecture == ARCH_BASELINE:
-            per_layer = 2.0 * h * r * r  # scores + probabilities, all heads
+            per_layer = 1.0 * h * r * r  # probabilities, all heads
             per_layer += 6.0 * r * d  # ln, qkv, attention output
             per_layer += 2.0 * r * self.mlp_ratio * d + 2.0 * r * d
             return vals + self.layers * per_layer
-        per_layer = 2.0 * h * m * n + 2.0 * h * n * n  # cross + self scores/probs
+        per_layer = 1.0 * h * m * n + 1.0 * h * n * n  # cross + self probabilities
         per_layer += 6.0 * n * d + 2.0 * n * self.mlp_ratio * d + 2.0 * n * d
         if self.block_variant != BLOCK_NONE:
             per_layer += _mamba_block_values(m, d, self.block_variant, self.n_heads_ssm,
@@ -263,15 +263,11 @@ class CostModel:
         return vals + self.layers * per_layer
 
 
-def _cost_model(arch: str, d: int, layers: int, **kw) -> CostModel:
-    return CostModel(architecture=arch, d=d, layers=layers, **kw)
-
-
 def analytic_cost(arch: str, m: int, n: int, d: int, layers: int, **kw):
     """Exact polynomial pre-fill cost: returns (flops, memory_values)."""
     if m < 0 or n < 1 or d < 1 or layers < 1:
         raise ContractError("analytic_cost needs m >= 0, n >= 1, d >= 1, layers >= 1")
-    cm = _cost_model(arch, d, layers, **kw)
+    cm = CostModel(architecture=arch, d=d, layers=layers, **kw)
     return cm.flops(m, n), cm.memory_values(m, n)
 
 
@@ -299,7 +295,7 @@ def memory_estimate(model_or_arch, m: int, n: int, **kw) -> float:
             n_state=cfg.n_state or (16 if cfg.block_variant == "mamba1" else 64),
         )
     else:
-        cm = _cost_model(model_or_arch, kw.pop("d", 64), kw.pop("layers", 2), **kw)
+        cm = CostModel(model_or_arch, kw.pop("d", 64), kw.pop("layers", 2), **kw)
     return cm.memory_values(m, n)
 
 

@@ -278,19 +278,18 @@ def zoh_discretize(a, b, delta):
 def linear_recurrence(decay, inputs, h0) -> Tensor:
     """All states of S_t = decay_t * S_{t-1} + inputs_t, S_0 = h0.
 
-    `inputs` is [T, *state]; `decay` is [T, *broadcastable-to-state]; `h0`
-    is the initial state, an array or a Tensor.  Returns the stacked states
-    [T, *state] as one graph node regardless of T.  The reverse pass
-    carries the adjoint back through every step; what is left of it after
-    the first step is the gradient of `h0` (a plain array gets none).
+    `inputs` is [T, *state]; `decay` is [T, *broadcastable-to-state], with
+    as many axes; `h0` is the initial state, an array or a Tensor.  Returns
+    the stacked states [T, *state] as one graph node regardless of T.  The
+    reverse pass carries the adjoint back through every step (summing a
+    broadcast decay's gradient per step); what is left of it after the
+    first step is the gradient of `h0`.
     """
-    decay = decay if isinstance(decay, Tensor) else Tensor(decay)
-    inputs = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-    h0 = h0 if isinstance(h0, Tensor) else Tensor(h0)
+    decay, inputs, h0 = (ng._coerce(t) for t in (decay, inputs, h0))
     e, u, s = decay.data, inputs.data, h0.data
     T = u.shape[0]
-    if e.shape[0] != T:
-        raise ContractError("linear_recurrence: decay and inputs disagree on T")
+    if e.shape[0] != T or e.ndim != u.ndim:
+        raise ContractError("linear_recurrence: decay and inputs disagree on T or rank")
     out = np.empty_like(u)
     for t in range(T):  # in place: S_t = decay_t * S_{t-1}, then += inputs_t
         s = np.multiply(e[t], s, out=out[t])
@@ -298,13 +297,19 @@ def linear_recurrence(decay, inputs, h0) -> Tensor:
     ng.meter_add("mul", 2.0 * u.size)
 
     def vjp(g):
-        gu, ge = np.empty_like(u), np.empty_like(u)
+        gu = np.empty_like(u) if inputs.requires_grad else None
+        ge = np.empty_like(e) if decay.requires_grad else None
+        bcast = tuple(i - 1 for i in range(1, u.ndim) if e.shape[i] != u.shape[i])
+        gs, prod = np.empty_like(u[0]), np.empty_like(u[0])
         a = np.zeros_like(u[0])  # adjoint of S_t carried in from step t+1
         for t in range(T - 1, -1, -1):
-            gs = np.add(a, g[t], out=gu[t])
-            np.multiply(gs, out[t - 1] if t > 0 else h0.data, out=ge[t])
+            gs = np.add(a, g[t], out=gs if gu is None else gu[t])  # adjoint of S_t
+            if ge is not None:
+                np.multiply(gs, out[t - 1] if t > 0 else h0.data, out=prod if bcast else ge[t])
+                if bcast:
+                    np.sum(prod, axis=bcast, keepdims=True, out=ge[t])
             np.multiply(e[t], gs, out=a)
-        return (ng._unbroadcast(ge, e.shape), gu, ng._unbroadcast(a, h0.shape))
+        return (ge, gu, ng._unbroadcast(a, h0.shape) if h0.requires_grad else None)
 
     return ng.custom_op(out, (decay, inputs, h0), vjp)
 
@@ -427,7 +432,10 @@ def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: in
     to_end = ng.permute(ng.exp(ng.sub(total, cum_q)), (1, 2, 0))  # [K, h, q]
     s_k = ng.bmatmul(ng.reshape(b_t, (K, 1, n, q)), ng.mul(xh, ng.reshape(to_end, (K, hh, q, 1))))
     ends = linear_recurrence(ng.exp(ng.reshape(total, (K, hh, 1, 1))), s_k, h0)
-    starts = ng.concat_rows([ng.reshape(h0, (1, hh, n, p)), ng.slice_rows(ends, 0, K - 1)])
+    # the state entering each chunk: h0, then the boundary states read in place
+    starts = ng.custom_op(np.concatenate([h0.data[None], ends.data[: K - 1]]), (h0, ends),
+                          lambda g: (g[0] if h0.requires_grad else None,
+                                     ng._RowSlice(0, K - 1, g[1:]) if ends.requires_grad else None))
 
     # read out the state carried into each chunk: C_t exp(cum_t) H_k
     y_state = ng.bmatmul(ng.reshape(c_k, (K, 1, q, n)), starts)
@@ -544,7 +552,8 @@ def causal_conv4(params: SSMParams, xz: Tensor, tail) -> Tensor:
     bit.  The reverse pass returns the gradients of xz, conv_w and the tail.
     """
     tail = tail if isinstance(tail, Tensor) else Tensor(tail)
-    x, w, tl = xz.data, params.conv_w.data, tail.data
+    conv_w = params.conv_w
+    x, w, tl = xz.data, conv_w.data, tail.data
     T = x.shape[0]
     y = np.empty_like(x)
     tap = np.empty_like(x)
@@ -559,20 +568,23 @@ def causal_conv4(params: SSMParams, xz: Tensor, tail) -> Tensor:
     ng.meter_add("add", ng.FLOP_COST["add"] * (CONV_WIDTH - 1) * x.size)
 
     def vjp(g):
-        gx = np.zeros_like(x)
-        gw = np.empty_like(w)
-        gt = np.zeros_like(tl)
+        gx = np.zeros_like(x) if xz.requires_grad else None
+        gw = np.empty_like(w) if conv_w.requires_grad else None
+        gt = np.zeros_like(tl) if tail.requires_grad else None
         prod = np.empty_like(x)
         for j in range(CONV_WIDTH):
             k = min(CONV_WIDTH - 1 - j, T)
-            gx[: T - k] += g[k:] * w[j]
-            gt[j : j + k] += g[:k] * w[j]
-            np.multiply(g[:k], tl[j : j + k], out=prod[:k])
-            np.multiply(g[k:], x[: T - k], out=prod[k:])
-            gw[j] = prod.sum(axis=0)
+            if gx is not None:
+                gx[: T - k] += g[k:] * w[j]
+            if gt is not None:
+                gt[j : j + k] += g[:k] * w[j]
+            if gw is not None:
+                np.multiply(g[:k], tl[j : j + k], out=prod[:k])
+                np.multiply(g[k:], x[: T - k], out=prod[k:])
+                gw[j] = prod.sum(axis=0)
         return gx, gw, gt
 
-    return ng.custom_op(y, (xz, params.conv_w, tail), vjp)
+    return ng.custom_op(y, (xz, conv_w, tail), vjp)
 
 
 def _block_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, tail,

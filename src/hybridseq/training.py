@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -341,6 +342,19 @@ def _global_grad_norm(params: dict[str, Tensor]) -> float:
 # --------------------------------------------------------------------------
 
 
+@contextmanager
+def _frozen(params):
+    """Mark `params` not differentiable inside the block, then restore them."""
+    flipped = [p for p in params if p.requires_grad]
+    for p in flipped:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in flipped:
+            p.requires_grad = True
+
+
 def train(
     model: Model,
     cfg: TrainConfig,
@@ -351,7 +365,8 @@ def train(
     """Gradient descent on the synthetic task; returns one record per step.
 
     Deterministic given (model, cfg.seed, task.seed): instance seeds derive
-    arithmetically from them and no wall-clock enters the records."""
+    arithmetically from them and no wall-clock enters the records.  The
+    stage's frozen parameters are not differentiable during the call."""
     cfg.validate()
     task.validate()
     if cfg.lam > 0 and teacher is None:
@@ -364,61 +379,62 @@ def train(
     opt = AdamW()
     records: list[dict] = []
 
-    for step in range(cfg.steps):
-        for p in trainable.values():
-            p.grad = None
-        lm_sum = 0.0
-        distill_sum = 0.0
-        for b in range(cfg.batch):
-            inst_seed = task.seed + 1 + step * cfg.batch + b
-            inst = generate_task(replace(task, seed=inst_seed), model.config.d)
-            seq = instance_sequence(model, inst)
-            logits = text_logits(model, seq)
-            lm = lm_loss(logits, inst.targets)
-            dl = None
-            if cfg.lam > 0:
-                with ng.no_grad():
-                    t_seq = instance_sequence(teacher, inst)
-                    t_logits = text_logits(teacher, t_seq)
-                sup = np.flatnonzero(inst.targets >= 0)
-                dl = distill_loss(
-                    t_logits.data[sup],
-                    ng.index_rows(logits, sup),
-                    k=min(DISTILL_TOP_K, model.config.vocab_size),
-                )
-                distill_sum += dl.item()
-            total = combined_loss(lm, dl, cfg.lam)
-            lm_sum += lm.item()
-            if not math.isfinite(total.item()):
-                raise NumericError(f"non-finite loss at step {step}")
-            ng.backward(ng.mul(total, 1.0 / cfg.batch), accumulate=True)
-
-        grad_norm = _global_grad_norm(trainable)
-        if grad_norm > GRAD_CLIP:
-            scale = GRAD_CLIP / grad_norm
+    with _frozen(p for name, p in all_params.items() if name not in trainable):
+        for step in range(cfg.steps):
             for p in trainable.values():
-                if p.grad is not None:
-                    p.grad = p.grad * scale
-        lr_t = cosine_lr(cfg.lr, step, cfg.steps)
-        opt.step(trainable, lr_t)
+                p.grad = None
+            lm_sum = 0.0
+            distill_sum = 0.0
+            for b in range(cfg.batch):
+                inst_seed = task.seed + 1 + step * cfg.batch + b
+                inst = generate_task(replace(task, seed=inst_seed), model.config.d)
+                seq = instance_sequence(model, inst)
+                logits = text_logits(model, seq)
+                lm = lm_loss(logits, inst.targets)
+                dl = None
+                if cfg.lam > 0:
+                    with ng.no_grad():
+                        t_seq = instance_sequence(teacher, inst)
+                        t_logits = text_logits(teacher, t_seq)
+                    sup = np.flatnonzero(inst.targets >= 0)
+                    dl = distill_loss(
+                        t_logits.data[sup],
+                        ng.index_rows(logits, sup),
+                        k=min(DISTILL_TOP_K, model.config.vocab_size),
+                    )
+                    distill_sum += dl.item()
+                total = combined_loss(lm, dl, cfg.lam)
+                lm_sum += lm.item()
+                if not math.isfinite(total.item()):
+                    raise NumericError(f"non-finite loss at step {step}")
+                ng.backward(ng.mul(total, 1.0 / cfg.batch), accumulate=True)
 
-        alphas = [
-            float(1.0 / (1.0 + math.exp(-l.self_attn.alpha_raw.item())))
-            for l in model.layers
-            if l.cross_attn is not None
-        ]
-        records.append(
-            {
-                "step": step,
-                "stage": cfg.stage,
-                "loss_lm": lm_sum / cfg.batch,
-                "loss_distill": distill_sum / cfg.batch if cfg.lam > 0 else 0.0,
-                "loss_total": (lm_sum + cfg.lam * distill_sum) / cfg.batch,
-                "grad_norm": grad_norm,
-                "lr": lr_t,
-                "alpha": alphas,
-            }
-        )
+            grad_norm = _global_grad_norm(trainable)
+            if grad_norm > GRAD_CLIP:
+                scale = GRAD_CLIP / grad_norm
+                for p in trainable.values():
+                    if p.grad is not None:
+                        p.grad = p.grad * scale
+            lr_t = cosine_lr(cfg.lr, step, cfg.steps)
+            opt.step(trainable, lr_t)
+
+            alphas = [
+                float(1.0 / (1.0 + math.exp(-l.self_attn.alpha_raw.item())))
+                for l in model.layers
+                if l.cross_attn is not None
+            ]
+            records.append(
+                {
+                    "step": step,
+                    "stage": cfg.stage,
+                    "loss_lm": lm_sum / cfg.batch,
+                    "loss_distill": distill_sum / cfg.batch if cfg.lam > 0 else 0.0,
+                    "loss_total": (lm_sum + cfg.lam * distill_sum) / cfg.batch,
+                    "grad_norm": grad_norm,
+                    "lr": lr_t,
+                    "alpha": alphas,
+                }
+            )
 
     if log_path is not None:
         with open(log_path, "w") as f:

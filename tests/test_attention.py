@@ -33,6 +33,66 @@ def make_params(seed=0, d=4, n_heads=2, alpha_raw=0.0):
     return init_attention_params(ng.new_rng(seed), d, n_heads, alpha_raw)
 
 
+def mha_tape(params, q_x, key_blocks, allowed_upto):
+    """The oracle: multi-head attention composed of tensor primitives.
+
+    `key_blocks` is a list of [L_i, d] tensors whose concatenation forms the
+    key/value source; scores are computed block by block, head by head, and
+    query row i sees key columns 0..allowed_upto[i].
+    """
+    dh = params.head_dim
+    scale = 1.0 / math.sqrt(dh)
+    lk_total = sum(b.shape[0] for b in key_blocks)
+    mask = np.arange(lk_total)[None, :] <= allowed_upto[:, None]
+
+    q_full = ng.matmul(q_x, params.w_q)
+    k_full = [ng.matmul(b, params.w_k) for b in key_blocks]
+    v_full = [ng.matmul(b, params.w_v) for b in key_blocks]
+
+    head_outs = []
+    for h in range(params.n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        q_h = ng.slice_cols(q_full, lo, hi)
+        score_blocks = [
+            ng.matmul(q_h, ng.transpose(ng.slice_cols(k, lo, hi))) for k in k_full
+        ]
+        scores = ng.mul(
+            score_blocks[0] if len(score_blocks) == 1 else ng.concat_cols(score_blocks),
+            scale,
+        )
+        probs = ng.softmax_rows(scores, mask=None if mask.all() else mask)
+        v_h = (
+            ng.slice_cols(v_full[0], lo, hi)
+            if len(v_full) == 1
+            else ng.concat_rows([ng.slice_cols(v, lo, hi) for v in v_full])
+        )
+        head_outs.append(ng.matmul(probs, v_h))
+    merged = head_outs[0] if len(head_outs) == 1 else ng.concat_cols(head_outs)
+    return ng.matmul(merged, params.w_o)
+
+
+def kernel_against_tape(p, run, oracle, *arrays):
+    """Run the public op `run` without grad and recorded, and the tape
+    composition `oracle` recorded, on tensors of `arrays`.  The two kernel
+    runs agree bit for bit; the kernel agrees with the tape within 1e-13 in
+    its output and within 1e-12 in the gradients of every input and weight."""
+    with ng.no_grad():
+        fast = run(*(Tensor(a) for a in arrays)).data
+    w = Tensor(ng.new_rng(999).standard_normal(fast.shape))
+    weights = (p.w_q, p.w_k, p.w_v, p.w_o)
+    results = []
+    for f in (run, oracle):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = f(*inputs)
+        backward(ng.tsum(ng.mul(out, w)))
+        results.append((out.data, [t.grad for t in (*inputs, *weights)]))
+    (recorded, g_kernel), (taped, g_tape) = results
+    assert np.array_equal(fast, recorded)
+    assert np.max(np.abs(recorded - taped)) < 1e-13
+    for a, b in zip(g_kernel, g_tape):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
 class TestCausalSelfAttention:
     def test_single_token(self):
         p = make_params(d=4, n_heads=2)
@@ -79,12 +139,9 @@ class TestCausalSelfAttention:
 
     def test_tape_matches_fast_path(self):
         p = make_params(seed=5)
-        rng = ng.new_rng(6)
-        x = rng.standard_normal((10, 4))
-        with ng.no_grad():
-            fast = causal_self_attention(p, Tensor(x))
-        taped = causal_self_attention(p, Tensor(x, requires_grad=True))
-        assert np.max(np.abs(fast.data - taped.data)) < 1e-13
+        x = ng.new_rng(6).standard_normal((10, 4))
+        kernel_against_tape(p, lambda t: causal_self_attention(p, t),
+                            lambda t: mha_tape(p, t, [t], np.arange(10)), x)
 
 
 class TestJointCausalAttentionText:
@@ -363,21 +420,14 @@ def force_tile(monkeypatch, n_heads, lk, rows=TILE):
     monkeypatch.setattr(attn_mod, "SCORE_BUDGET", n_heads * lk * rows)
 
 
-def fast_and_tape(run, *arrays):
-    with ng.no_grad():
-        fast = run(*(Tensor(a) for a in arrays))
-    taped = run(*(Tensor(a, requires_grad=True) for a in arrays))
-    return fast.data, taped.data
-
-
 class TestAttendCore:
     @pytest.mark.parametrize("lq", TILE_LQ)
     def test_causal_matches_tape(self, monkeypatch, lq):
         p = make_params(seed=140, d=8, n_heads=2)
         force_tile(monkeypatch, 2, lq)
         x = ng.new_rng(141).standard_normal((lq, 8))
-        fast, taped = fast_and_tape(lambda t: causal_self_attention(p, t), x)
-        assert np.max(np.abs(fast - taped)) < 1e-13
+        kernel_against_tape(p, lambda t: causal_self_attention(p, t),
+                            lambda t: mha_tape(p, t, [t], np.arange(lq)), x)
 
     @pytest.mark.parametrize("lq", TILE_LQ)
     def test_joint_matches_tape(self, monkeypatch, lq):
@@ -386,10 +436,9 @@ class TestAttendCore:
         force_tile(monkeypatch, 2, m + lq)
         rng = ng.new_rng(143)
         video, text = rng.standard_normal((m, 8)), rng.standard_normal((lq, 8))
-        fast, taped = fast_and_tape(
-            lambda v, t: joint_causal_attention_text(p, v, t), video, text
-        )
-        assert np.max(np.abs(fast - taped)) < 1e-13
+        kernel_against_tape(p, lambda v, t: joint_causal_attention_text(p, v, t),
+                            lambda v, t: mha_tape(p, t, [v, t], m + np.arange(lq)),
+                            video, text)
 
     @pytest.mark.parametrize("lq", TILE_LQ)
     def test_cross_matches_tape(self, monkeypatch, lq):
@@ -398,8 +447,9 @@ class TestAttendCore:
         force_tile(monkeypatch, 2, m)
         rng = ng.new_rng(145)
         video, text = rng.standard_normal((m, 8)), rng.standard_normal((lq, 8))
-        fast, taped = fast_and_tape(lambda v, t: cross_attention(p, t, v), video, text)
-        assert np.max(np.abs(fast - taped)) < 1e-13
+        kernel_against_tape(p, lambda v, t: cross_attention(p, t, v),
+                            lambda v, t: mha_tape(p, t, [v], np.full(lq, m - 1)),
+                            video, text)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_non_monotone_allowed_matches_tape(self, monkeypatch, seed):
@@ -410,11 +460,8 @@ class TestAttendCore:
         q, keys = rng.standard_normal((lq, 8)), rng.standard_normal((lk, 8))
         allowed = rng.integers(0, lk, size=lq)
         assert np.any(np.diff(allowed) < 0)
-        with ng.no_grad():
-            fast = attn_mod._mha_fast(p, Tensor(q), [Tensor(keys)], allowed, "test")
-        taped = attn_mod._mha_tape(p, Tensor(q, requires_grad=True),
-                                   [Tensor(keys, requires_grad=True)], allowed)
-        assert np.max(np.abs(fast.data - taped.data)) < 1e-13
+        kernel_against_tape(p, lambda a, b: attn_mod._mha(p, a, [b], allowed, "test"),
+                            lambda a, b: mha_tape(p, a, [b], allowed), q, keys)
 
     @pytest.mark.parametrize("perturbed", [2 * TILE, TILE + 2])
     def test_prefix_invariance_across_tiles(self, monkeypatch, perturbed):
@@ -448,11 +495,11 @@ class TestAttendCore:
         p = make_params(seed=159, d=16, n_heads=4)
         x_ln = ng.new_rng(160).standard_normal((30, 16))
         cache = build_video_kv_cache(p, Tensor(x_ln))
-        branch = attn_mod.attend_cached(p, x_ln[-1:], cache.k, cache.v, "test")
         with ng.no_grad():
             inline = cross_attention(p, Tensor(x_ln[-1:]), Tensor(x_ln))
-            causal_last = attn_mod._mha_fast(p, Tensor(x_ln[-1:]), [Tensor(x_ln)],
-                                             np.array([29]), "test")
+            causal_last = attn_mod._mha(p, Tensor(x_ln[-1:]), [Tensor(x_ln)],
+                                        np.array([29]), "test")
+        branch = attn_mod.attend_cached(p, x_ln[-1:], cache.k, cache.v, "test")
         assert np.array_equal(branch, inline.data)
         assert np.array_equal(branch, causal_last.data)
 
@@ -472,6 +519,36 @@ class TestAttendCore:
                 cross_attention(p, text, video)
         lk = {"self": n, "joint": m + n, "cross": m}[path]
         assert meter.total == _attention_flops(n, lk, d, h)
+
+    @pytest.mark.parametrize("path", ["self", "joint", "cross"])
+    def test_one_recorded_call_adds_a_fixed_number_of_nodes(self, path):
+        # three projections, the attention op and the output projection
+        # (plus the key concatenation of the joint path), whatever the
+        # number of heads or rows
+        counts = []
+        for h, n in ((2, 3), (4, 9)):
+            p = make_params(seed=170, d=8, n_heads=h)
+            rng = ng.new_rng(171)
+            video = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+            text = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+            if path == "self":
+                out = causal_self_attention(p, text)
+            elif path == "joint":
+                out = joint_causal_attention_text(p, video, text)
+            else:
+                out = cross_attention(p, text, video)
+            counts.append(sum(t._vjp is not None for t in ng.GradTape(out).nodes))
+        assert counts == [6 if path == "joint" else 5] * 2
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_vjp_returns_none_for_operands_without_grad(self, which):
+        rng = ng.new_rng(172)
+        qkv = [Tensor(rng.standard_normal((l, 8))) for l in (3, 5, 5)]
+        qkv[which].requires_grad = True
+        out = attn_mod._attention(*qkv, 2, np.full(3, 4), "test")
+        grads = out._vjp(rng.standard_normal((3, 8)))
+        assert [g is not None for g in grads] == [i == which for i in range(3)]
+        assert grads[which].shape == qkv[which].shape
 
     def test_causal_peak_memory_bounded(self):
         p = make_params(seed=163, d=64, n_heads=4)

@@ -246,6 +246,64 @@ class TestBackward:
                 assert pos[id(p)] < pos[id(node)]
 
 
+class TestGradientsOnlyWhereRead:
+    """A VJP computes no gradient for a parent without requires_grad, and
+    the tape carries no all-zero adjoint out of a concatenation."""
+
+    BINARY = {
+        "add": ng.add,
+        "sub": ng.sub,
+        "mul": ng.mul,
+        "div": ng.div,
+        "matmul": ng.matmul,
+        "bmatmul": ng.bmatmul,
+        "einsum2": lambda a, b: ng.einsum2("ij,jk->ik", a, b),
+        "concat_rows": lambda a, b: ng.concat_rows([a, b]),
+        "concat_cols": lambda a, b: ng.concat_cols([a, b]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BINARY))
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_binary_vjp_returns_none_for_the_constant(self, name, which):
+        rng = ng.new_rng(20)
+        ops = [Tensor(rng.standard_normal((3, 3)) + 3.0) for _ in range(2)]
+        ops[which].requires_grad = True
+        out = self.BINARY[name](*ops)
+        grads = out._vjp(rng.standard_normal(out.shape))
+        assert grads[which].shape == ops[which].shape
+        assert grads[1 - which] is None
+
+    def test_layer_norm_computes_only_what_is_differentiable(self):
+        rng = ng.new_rng(21)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        gain, bias = Tensor(np.ones(3)), Tensor(np.zeros(3), requires_grad=True)
+        out = ng.layer_norm(x, gain, bias)
+        dx, dgain, dbias = out._vjp(rng.standard_normal((4, 3)))
+        assert dx.shape == (4, 3) and dgain is None and dbias.shape == (3,)
+
+    def test_frozen_weight_gets_no_adjoint(self):
+        rng = ng.new_rng(22)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)))
+        loss = ng.tsum(ng.mul(ng.matmul(x, w), 2.0))
+        adj = GradTape(loss).run()
+        assert id(w) not in adj
+        assert np.array_equal(adj[id(x)], np.full((4, 2), 2.0) @ w.data.T)
+
+    def test_all_zero_part_of_a_concatenation_is_not_propagated(self):
+        rng = ng.new_rng(23)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        z = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        e = ng.exp(x)
+        loss = ng.tsum(ng.slice_rows(ng.concat_rows([e, z]), 2, 5))  # z's rows only
+        adj = GradTape(loss).run()
+        assert id(e) not in adj and id(x) not in adj
+        grads = backward(loss)
+        # a reachable leaf nothing reached still gets its (zero) gradient
+        assert x in grads and np.array_equal(x.grad, np.zeros((2, 3)))
+        assert np.array_equal(z.grad, np.ones((3, 3)))
+
+
 class TestRowSliceAdjoints:
     """Row-slice adjoints are added in place into buffers the tape owns."""
 

@@ -169,25 +169,26 @@ class TestFit:
 
 class TestMemoryEstimate:
     def test_baseline_quadratic_term(self):
-        # coefficient of (M+N)^2 is exactly 2 * heads * layers
+        # coefficient of (M+N)^2 is exactly heads * layers: attention keeps
+        # the probabilities of every head for its reverse pass, not the scores
         d, layers, h = 64, 2, 4
         big = 1 << 16
         vals = memory_estimate(ARCH_BASELINE, big, 64, d=d, layers=layers, n_heads=h)
         r = big + 64
-        quad = 2.0 * h * layers * r * r
+        quad = 1.0 * h * layers * r * r
         assert vals >= quad
         assert (vals - quad) / quad < 0.01  # linear remainder is negligible here
 
     def test_hybrid_cross_term_coefficient(self):
-        # with no scan block, the M coefficient is layers*2*heads*N (+ d for
-        # the embedding rows themselves)
+        # with no scan block, the M coefficient is layers*heads*N, the cross
+        # probabilities (+ d for the embedding rows themselves)
         d, layers, h, n = 64, 2, 4, 64
         kw = dict(d=d, layers=layers, n_heads=h, block_variant="none")
         m1, m2 = 4096, 8192
         v1 = memory_estimate(ARCH_HYBRID, m1, n, **kw)
         v2 = memory_estimate(ARCH_HYBRID, m2, n, **kw)
         coeff = (v2 - v1) / (m2 - m1)
-        assert coeff == layers * 2 * h * n + d
+        assert coeff == layers * h * n + d
 
     def test_ratio_below_half_at_desk_point(self):
         hyb = memory_estimate(ARCH_HYBRID, 8192, 64, d=64, layers=2, n_heads=4)

@@ -133,6 +133,30 @@ class TestLinearRecurrence:
         backward(ng.tsum(out))
         assert et.grad.shape == e.shape
 
+    def test_broadcast_decay_gradient_equals_the_full_size_one_summed(self):
+        # the reverse pass sums a broadcast decay's gradient step by step;
+        # a decay given at full state size gets the unsummed gradient
+        rng = ng.new_rng(2)
+        e = rng.uniform(0.2, 0.9, size=(6, 2, 1, 1))
+        u, w = rng.standard_normal((6, 2, 3, 5)), Tensor(rng.standard_normal((6, 2, 3, 5)))
+        h0 = rng.standard_normal((2, 3, 5))
+        grads = []
+        for decay in (e, np.broadcast_to(e, u.shape)):
+            et = Tensor(decay, requires_grad=True)
+            backward(ng.tsum(ng.mul(linear_recurrence(et, Tensor(u), h0), w)))
+            grads.append(et.grad)
+        assert np.array_equal(grads[0], grads[1].sum(axis=(2, 3), keepdims=True))
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_vjp_returns_none_for_operands_without_grad(self, which):
+        rng = ng.new_rng(3)
+        ops = [Tensor(rng.uniform(0.2, 0.9, size=(4, 3))), Tensor(rng.standard_normal((4, 3))),
+               Tensor(rng.standard_normal(3))]
+        ops[which].requires_grad = True
+        out = linear_recurrence(*ops)
+        grads = out._vjp(rng.standard_normal((4, 3)))
+        assert [g is not None for g in grads] == [i == which for i in range(3)]
+
 
 class TestScanSequential:
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
@@ -428,6 +452,14 @@ class TestCausalConv:
         tail = Tensor(np.zeros((3, p.d_inner)), requires_grad=True)
         y = ssm.causal_conv4(p, xz, tail)
         assert y._parents == (xz, p.conv_w, tail)
+
+    def test_vjp_returns_none_for_operands_without_grad(self):
+        p = make_params(MAMBA2, d_model=2, seed=67)
+        xz = Tensor(ng.new_rng(68).standard_normal((5, p.d_inner)), requires_grad=True)
+        p.conv_w.requires_grad = False
+        y = ssm.causal_conv4(p, xz, np.zeros((3, p.d_inner)))
+        gx, gw, gt = y._vjp(np.ones(y.shape))
+        assert gx.shape == xz.shape and gw is None and gt is None
 
 
 class TestMambaBlock:

@@ -1,5 +1,6 @@
 """Tests for losses, synthetic tasks, and the training loop."""
 
+import contextlib
 import math
 from dataclasses import replace
 
@@ -274,6 +275,81 @@ class TestStageFreezing:
         train(model, TrainConfig(stage="pretrain", steps=3, batch=1, seed=2),
               tiny_task())
         assert not np.array_equal(model.layers[0].cross_attn.w_q.data, before)
+
+    def test_frozen_flags_leave_the_log_bit_identical(self, monkeypatch):
+        # train marks the frozen parameters non-differentiable; a run where
+        # every parameter stays differentiable, and one whose frozen flags
+        # were already off, give the same log and the same parameters
+        cfg = TrainConfig(stage="pretrain", steps=3, batch=2, seed=3)
+        runs = []
+        for mode in ("flagged", "all", "off"):
+            model = build_model(tiny_config(n_layers=2), seed=17)
+            frozen = [p for name, p in mod.named_parameters(model).items()
+                      if not stage_trainable("pretrain", name)]
+            with monkeypatch.context() as mp:
+                if mode == "all":
+                    mp.setattr(tr, "_frozen", lambda params: contextlib.nullcontext())
+                if mode == "off":
+                    for p in frozen:
+                        p.requires_grad = False
+                log = train(model, cfg, tiny_task())
+            params = {n: p.data for n, p in mod.named_parameters(model).items()}
+            runs.append((log, params, [p.requires_grad for p in frozen]))
+        (log, params, flags), *others = runs
+        assert all(flags)
+        for other_log, other_params, _ in others:
+            assert other_log == log
+            for name, data in params.items():
+                assert np.array_equal(other_params[name], data), name
+        assert not any(runs[2][2])  # flags that were off stay off
+
+    def test_flags_restored_after_a_numeric_error(self, monkeypatch):
+        model = build_model(tiny_config(), seed=18)
+        params = mod.named_parameters(model)
+        params["embed.token_table"].requires_grad = False
+        before = {name: p.requires_grad for name, p in params.items()}
+        calls = []
+
+        def poisoned(logits, targets):
+            calls.append(logits)
+            if len(calls) == 3:  # the first instance of the second step
+                return ng.custom_op(np.asarray(float("nan")), (logits,), lambda g: (None,))
+            return lm_loss(logits, targets)
+
+        monkeypatch.setattr(tr, "lm_loss", poisoned)
+        with pytest.raises(NumericError, match="step 1"):
+            train(model, TrainConfig(stage="pretrain", steps=3, batch=2, seed=6), tiny_task())
+        assert len(calls) == 3
+        assert {name: p.requires_grad for name, p in params.items()} == before
+
+    def test_pretrain_gradients_equal_the_all_differentiable_ones(self):
+        model = build_model(tiny_config(n_layers=2), seed=19)
+        params = mod.named_parameters(model)
+        frozen = [p for name, p in params.items() if not stage_trainable("pretrain", name)]
+        inst = generate_task(tiny_task(seed=4), model.config.d)
+
+        def gradients():
+            for p in params.values():
+                p.grad = None
+            loss = lm_loss(mod.text_logits(model, instance_sequence(model, inst)), inst.targets)
+            backward(loss)
+            return {name: p.grad for name, p in params.items()}, loss
+
+        every, _ = gradients()
+        with tr._frozen(frozen):
+            pretrain, loss = gradients()
+            adjoints = ng.GradTape(loss).run()
+        for name, p in params.items():
+            if stage_trainable("pretrain", name):
+                assert np.array_equal(pretrain[name], every[name]), name
+            else:
+                assert pretrain[name] is None, name
+                assert id(p) not in adjoints, name
+        # text logits read no video row of the last layer: its block gets
+        # zeros, as arrays, so weight decay and the log see it as before
+        for name in model.layers[-1].mamba.named("m"):
+            g = pretrain["layers.1.mamba" + name[1:]]
+            assert g is not None and not g.any(), name
 
 
 class TestTrainLoop:
