@@ -178,7 +178,6 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
     lk = kt.shape[2]
     scale = 1.0 / math.sqrt(dh)
     rows = max(1, SCORE_BUDGET // (nh * lk))
-    col = np.arange(lk)
     out = np.empty((lq, nh, dh))
     for lo in range(0, lq, rows):
         hi = min(lo + rows, lq)
@@ -189,63 +188,69 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
         s[:, :, last:] = -np.inf
         if first < last:
             band = s[:, :, first:last]
-            band[:, col[None, first:last] > allowed[:, None]] = -np.inf
+            band[:, np.arange(first, last)[None] > allowed[:, None]] = -np.inf
         s -= s.max(axis=2, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=2, keepdims=True)
         np.matmul(s, vh, out=out[lo:hi].transpose(1, 0, 2))
     ng.meter_add("matmul", 2.0 * lq * lk * dh * nh * 2)
     ng.meter_add("softmax", ng.FLOP_COST["softmax"] * float(lq) * lk * nh)
-    finite = np.isfinite(out).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(out).all():
+        finite = np.isfinite(out).all(axis=(1, 2))
         raise NumericError(
             f"{what}: non-finite output at query row {int(np.argmin(finite))}"
         )
     return out.reshape(lq, nh * dh)
 
 
-def _attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-               allowed_upto: np.ndarray, what: str) -> Tensor:
-    """`_attend` over projected rows q [Lq, d], k and v [Lk, d], one graph
-    node.  A recorded call keeps every head's probabilities P for the reverse
-    pass (FlashAttention, arXiv 2205.14135, appendix B), per head: dV = P^T dO,
+def _attention(q: Tensor, k, v, n_heads: int, allowed_upto: np.ndarray,
+               what: str) -> Tensor:
+    """`_attend` over projected query rows q [Lq, d], one graph node.
+
+    `k` and `v` are projected rows [Lk, d], or a cache's head arrays
+    [n_heads, Lk, head_dim], which are constants.  A recorded call keeps
+    every head's probabilities P for the reverse pass (FlashAttention, arXiv
+    2205.14135, appendix B), per head: dV = P^T dO,
     dS = P o (dO V^T - rowsum(dO o O)) * scale, dQ = dS K, dK = dS^T Q."""
-    qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
-    recorded = ng.is_grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
-    probs = np.empty((n_heads, q.shape[0], k.shape[0])) if recorded else None
+    cached = isinstance(k, np.ndarray)
+    parents = (q,) if cached else (q, k, v)
+    k_grad, v_grad = (False, False) if cached else (k.requires_grad, v.requires_grad)
+    qh = _heads(q.data, n_heads)
+    kh, vh = (k, v) if cached else (_heads(k.data, n_heads), _heads(v.data, n_heads))
+    recorded = ng.is_grad_enabled() and any(p.requires_grad for p in parents)
+    probs = np.empty((n_heads, qh.shape[1], kh.shape[1])) if recorded else None
     out = _attend(qh, kh.transpose(0, 2, 1), vh, allowed_upto, what, probs)
     scale = 1.0 / math.sqrt(qh.shape[2])
 
     def vjp(g):
         gh = _heads(g, n_heads)
         gq = gk = gv = None
-        if v.requires_grad:
+        if v_grad:
             gv = _merged(np.matmul(probs.transpose(0, 2, 1), gh))
-        if q.requires_grad or k.requires_grad:
+        if q.requires_grad or k_grad:
             ds = np.matmul(gh, vh.transpose(0, 2, 1))
             ds -= np.sum(gh * _heads(out, n_heads), axis=2, keepdims=True)
             ds *= probs
             ds *= scale
             if q.requires_grad:
                 gq = _merged(np.matmul(ds, kh))
-            if k.requires_grad:
+            if k_grad:
                 gk = _merged(np.matmul(ds.transpose(0, 2, 1), qh))
-        return gq, gk, gv
+        return (gq, gk, gv)[: len(parents)]
 
-    return ng.custom_op(out, (q, k, v), vjp)
+    return ng.custom_op(out, parents, vjp)
 
 
-def _mha(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
-         what: str, kv_sink: list | None = None) -> Tensor:
-    """Rows q_x attending over the concatenated key blocks; `kv_sink` (a
-    list) receives the projected keys and values, [n_heads, Lk, head_dim]."""
-    keys = key_blocks[0] if len(key_blocks) == 1 else ng.concat_rows(key_blocks)
-    q = ng.matmul(q_x, params.w_q)
-    k, v = ng.matmul(keys, params.w_k), ng.matmul(keys, params.w_v)
-    if kv_sink is not None:
-        kv_sink.append((_heads(k.data, params.n_heads), _heads(v.data, params.n_heads)))
-    out = _attention(q, k, v, params.n_heads, allowed_upto, what)
+def _mha(params, q_x: Tensor, kv, allowed_upto: np.ndarray, what: str) -> Tensor:
+    """Rows q_x attending over `kv`, the (k, v) pair `_attention` takes."""
+    out = _attention(ng.matmul(q_x, params.w_q), *kv, params.n_heads, allowed_upto, what)
     return ng.matmul(out, params.w_o)
+
+
+def _projected(params, key_blocks) -> tuple[Tensor, Tensor]:
+    """Keys and values of the concatenated key blocks, [Lk, d] each."""
+    keys = key_blocks[0] if len(key_blocks) == 1 else ng.concat_rows(key_blocks)
+    return ng.matmul(keys, params.w_k), ng.matmul(keys, params.w_v)
 
 
 # --------------------------------------------------------------------------
@@ -254,17 +259,31 @@ def _mha(params, q_x: Tensor, key_blocks, allowed_upto: np.ndarray,
 
 
 def causal_self_attention(params: AttentionParams, x: Tensor,
-                          kv_sink: list | None = None) -> Tensor:
+                          kv_sink: list | None = None, past=None) -> Tensor:
     """Multi-head causal self-attention over x [L, d]; position i attends
     to positions 1..i, scaled by 1/sqrt(head_dim).
 
     `kv_sink` (a list) receives the keys and values the call projects, as
     one (k, v) pair of [n_heads, L, head_dim] arrays; this is how prefill
-    fills its decode caches without projecting twice."""
+    fills its decode caches without projecting twice.
+
+    With `past`, a key/value cache of the positions before x's (decode),
+    `past.extended(k, v)` appends x's keys and values, each row attends over
+    the grown cache's `text_k` / `text_v` up to itself, and `kv_sink`
+    receives the grown cache instead of the pair."""
     _check_width(params, x, "input")
     if x.shape[0] < 1:
         raise ContractError("causal_self_attention: need at least one position")
-    return _mha(params, x, [x], np.arange(x.shape[0]), "causal self-attention", kv_sink)
+    k, v = _projected(params, [x])
+    heads = (_heads(k.data, params.n_heads), _heads(v.data, params.n_heads))
+    start = 0
+    if past is not None:
+        grown = past.extended(*heads)
+        k, v = grown.text_k, grown.text_v  # every cached row, x's rows last
+        start = k.shape[1] - x.shape[0]
+    if kv_sink is not None:
+        kv_sink.append(heads if past is None else grown)
+    return _mha(params, x, (k, v), start + np.arange(x.shape[0]), "causal self-attention")
 
 
 def joint_causal_attention_text(
@@ -279,7 +298,7 @@ def joint_causal_attention_text(
         return causal_self_attention(params, text)
     _check_width(params, video, "video")
     allowed = m + np.arange(text.shape[0])
-    return _mha(params, text, [video, text], allowed, "joint attention")
+    return _mha(params, text, _projected(params, [video, text]), allowed, "joint attention")
 
 
 def build_video_kv_cache(params_c: AttentionParams, video: Tensor) -> VideoKVCache:
@@ -298,34 +317,22 @@ def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
     """Every text query attends over all video keys/values (non-causal).
 
     `video` may be a [M, d] tensor (keys/values computed inline, so
-    gradients flow) or a prebuilt VideoKVCache (prefill and decode).
+    gradients flow) or a prebuilt VideoKVCache (prefill and decode), whose
+    keys and values the call reads as constants.
     """
     _check_width(params_c, text_q, "text")
     if isinstance(video, VideoKVCache):
         if video.m == 0:
             raise ContractError("cross_attention: empty video cache")
-        return Tensor(attend_cached(params_c, text_q.data, video.k, video.v, "cross-attention"))
-    if video.shape[0] == 0:
-        raise ContractError(
-            "cross_attention: no video tokens; text-only sequences bypass the cross branch"
-        )
-    _check_width(params_c, video, "video")
-    n, m = text_q.shape[0], video.shape[0]
-    allowed = np.full(n, m - 1)
-    return _mha(params_c, text_q, [video], allowed, "cross-attention")
-
-
-def attend_cached(params: AttentionParams, x_ln: np.ndarray, k: np.ndarray,
-                  v: np.ndarray, what: str) -> np.ndarray:
-    """Attention of rows x_ln [n, d] over every cached key/value, k and v
-    [n_heads, L, head_dim]; returns [n, d], metered.  Its products round as
-    `_mha`'s `numerics.matmul` does, so a cached branch equals the inline
-    one bit for bit."""
-    q = ng.rows_product(x_ln, params.w_q.data)
-    out = _attend(_heads(q, params.n_heads), k.transpose(0, 2, 1), v,
-                  np.full(q.shape[0], k.shape[1] - 1), what)
-    ng.meter_add("matmul", 2.0 * 2 * q.shape[0] * params.d * params.d)
-    return ng.rows_product(out, params.w_o.data)
+        kv, m = (video.k, video.v), video.m
+    else:
+        if video.shape[0] == 0:
+            raise ContractError(
+                "cross_attention: no video tokens; text-only sequences bypass the cross branch"
+            )
+        _check_width(params_c, video, "video")
+        kv, m = _projected(params_c, [video]), video.shape[0]
+    return _mha(params_c, text_q, kv, np.full(text_q.shape[0], m - 1), "cross-attention")
 
 
 def blended_text_update(
@@ -335,19 +342,20 @@ def blended_text_update(
     video: Tensor,
     text: Tensor,
     kv_sink: list | None = None,
+    past=None,
 ) -> Tensor:
     """Hybrid text update: (1 - alpha) * cross-attention + alpha * causal
     self-attention, with one scalar blend weight shared by the layer.
 
-    `video` is a [M, d] tensor or a VideoKVCache; `kv_sink` goes to the self
-    branch (see `causal_self_attention`)."""
+    `video` is a [M, d] tensor or a VideoKVCache; `kv_sink` and `past` go
+    to the self branch (see `causal_self_attention`)."""
     m = video.m if isinstance(video, VideoKVCache) else video.shape[0]
     if m < 1:
         raise ContractError("blended_text_update requires at least one video token")
     if text.shape[0] < 1:
         raise ContractError("blended_text_update requires at least one text token")
     cross = cross_attention(params_c, text, video)
-    self_o = causal_self_attention(params_s, text, kv_sink)
+    self_o = causal_self_attention(params_s, text, kv_sink, past)
     one_minus = ng.sub(1.0, alpha)
     return ng.add(ng.mul(one_minus, cross), ng.mul(alpha, self_o))
 

@@ -13,11 +13,13 @@ updates the two roles:
   Video rows never enter the text MLP, and generated tokens are text-role
   by definition, so decoding leaves the state-space path untouched.
 
-Prefill runs the whole prompt once and returns a `DecodeContext` carrying
-per-layer video key/value caches and text self-attention caches;
-`decode_step` then extends the text stream one token at a time against
-those caches, returning a new context and leaving the one it was given
-unchanged.
+Both run one text body per layer (`_text_half`: norm, attention, MLP) and
+one head (`_head`: final norm, tied output product), in training, prefill
+and decode alike.  Prefill runs the whole prompt once and returns a
+`DecodeContext` carrying per-layer video key/value caches and text
+self-attention caches; `decode_step` then runs each layer's text body on
+one new token with that layer's caches as its past, returning a new
+context and leaving the one it was given unchanged.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import attention as attn
 from . import numerics as ng
@@ -92,6 +93,8 @@ class TokenSequence:
 
     embeddings: Tensor
     roles: np.ndarray
+    m: int = field(init=False)  # video rows, counted once
+    n: int = field(init=False)  # text rows
 
     def __post_init__(self):
         self.roles = np.asarray(self.roles, dtype=np.int8)
@@ -103,14 +106,8 @@ class TokenSequence:
         first_text = int(np.argmax(is_text))
         if not is_text[first_text:].all():
             raise ContractError("layout must be video-first: text follows all video")
-
-    @property
-    def m(self) -> int:
-        return int((self.roles == ROLE_VIDEO).sum())
-
-    @property
-    def n(self) -> int:
-        return int((self.roles == ROLE_TEXT).sum())
+        self.m = int(np.count_nonzero(self.roles == ROLE_VIDEO))
+        self.n = len(self.roles) - first_text
 
 
 @dataclass
@@ -418,6 +415,33 @@ def _mlp_forward(mlp: MLPParams, x: Tensor) -> Tensor:
     return ng.add(ng.matmul(ng.gelu(h), mlp.w2), mlp.b2)
 
 
+def _text_half(layer: Layer, x: Tensor, video=None, cache_sink: list | None = None,
+               past: LayerCache | None = None) -> Tensor:
+    """The text half of a layer, for training, prefill and decode alike:
+    pre-norm, the self branch, with `video` (normed video rows or a
+    VideoKVCache) the cross branch and the blend, residual; then norm, MLP
+    and residual.  On a baseline every row of the stream takes this path.
+
+    With `past` (decode, where `video` is `past.video_kv`), x's rows follow
+    the positions `past` caches, and the self branch attends over those too.
+    `cache_sink` (gradients off) receives the layer's `LayerCache`: the self
+    branch's keys/values, after `past`'s rows."""
+    kv = [] if cache_sink is not None else None
+    x_ln = ng.layer_norm(x, layer.attn_norm.gain, layer.attn_norm.bias)
+    if video is not None:
+        alpha = ng.sigmoid(layer.self_attn.alpha_raw)
+        mid = ng.add(x, attn.blended_text_update(layer.self_attn, layer.cross_attn, alpha,
+                                                 video, x_ln, kv, past))
+    else:
+        # text-only stream or baseline: pure causal self-attention
+        mid = ng.add(x, attn.causal_self_attention(layer.self_attn, x_ln, kv, past))
+    if kv is not None:
+        n = x.shape[0]
+        cache_sink.append(kv[0] if past is not None else LayerCache(video, TextRows(*kv[0], n), n))
+    return ng.add(mid, _mlp_forward(layer.mlp, ng.layer_norm(mid, layer.mlp_norm.gain,
+                                                            layer.mlp_norm.bias)))
+
+
 def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
                          cache_sink: list | None = None) -> TokenSequence:
     """One hybrid layer: scan for video rows, blended attention + MLP for text.
@@ -434,40 +458,16 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
     """
     m, n = seq.m, seq.n
     x = seq.embeddings
-    x_t = ng.slice_rows(x, m, m + n) if m > 0 else x
-    kv = [] if cache_sink is not None else None
-
-    video = None
-    if m > 0:
-        x_v = ng.slice_rows(x, 0, m)
-        video = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
-        if kv is not None:
-            # built before the block's temporaries, like the scan's h_final
-            video = attn.build_video_kv_cache(layer.cross_attn, video)
-        if layer.mamba is not None:
-            v_out, _ = ssm_mod.mamba_block_forward(layer.mamba, x_v)
-        else:
-            v_out = x_v
-
-    x_t_ln = ng.layer_norm(x_t, layer.attn_norm.gain, layer.attn_norm.bias)
-    if m > 0:
-        alpha = ng.sigmoid(layer.self_attn.alpha_raw)
-        attn_out = attn.blended_text_update(
-            layer.self_attn, layer.cross_attn, alpha, video, x_t_ln, kv
-        )
-    else:
-        # text-only sequence: the cross branch is undefined, blend weight is
-        # implicitly 1 and the update is pure causal self-attention
-        attn_out = attn.causal_self_attention(layer.self_attn, x_t_ln, kv)
-    if kv is not None:
-        cache_sink.append(LayerCache(video, TextRows(*kv[0], n), n))
-    t_mid = ng.add(x_t, attn_out)
-    t_out = ng.add(
-        t_mid, _mlp_forward(layer.mlp, ng.layer_norm(t_mid, layer.mlp_norm.gain, layer.mlp_norm.bias))
-    )
-
-    emb = t_out if m == 0 else ng.concat_rows([v_out, t_out])
-    return TokenSequence(embeddings=emb, roles=seq.roles)
+    if m == 0:
+        return TokenSequence(_text_half(layer, x, None, cache_sink), seq.roles)
+    x_v = ng.slice_rows(x, 0, m)
+    video = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
+    if cache_sink is not None:
+        # built before the block's temporaries, like the scan's h_final
+        video = attn.build_video_kv_cache(layer.cross_attn, video)
+    v_out = x_v if layer.mamba is None else ssm_mod.mamba_block_forward(layer.mamba, x_v)[0]
+    t_out = _text_half(layer, ng.slice_rows(x, m, m + n), video, cache_sink)
+    return TokenSequence(ng.concat_rows([v_out, t_out]), seq.roles)
 
 
 def baseline_layer_forward(layer: Layer, seq: TokenSequence,
@@ -478,17 +478,7 @@ def baseline_layer_forward(layer: Layer, seq: TokenSequence,
     attention over video 1..i and text token j attention over all video
     plus text 1..j.  With `cache_sink` (gradients off) the layer appends its
     `LayerCache`: the keys/values of the joint stream."""
-    x = seq.embeddings
-    x_ln = ng.layer_norm(x, layer.attn_norm.gain, layer.attn_norm.bias)
-    kv = [] if cache_sink is not None else None
-    x = ng.add(x, attn.causal_self_attention(layer.self_attn, x_ln, kv))
-    if kv is not None:
-        rows = x.shape[0]
-        cache_sink.append(LayerCache(None, TextRows(*kv[0], rows), rows))
-    x = ng.add(
-        x, _mlp_forward(layer.mlp, ng.layer_norm(x, layer.mlp_norm.gain, layer.mlp_norm.bias))
-    )
-    return TokenSequence(embeddings=x, roles=seq.roles)
+    return TokenSequence(_text_half(layer, seq.embeddings, None, cache_sink), seq.roles)
 
 
 def forward_hidden(model: Model, seq: TokenSequence,
@@ -504,6 +494,12 @@ def forward_hidden(model: Model, seq: TokenSequence,
     return cur
 
 
+def _head(model: Model, h: Tensor) -> Tensor:
+    """Final norm, then the output product tied to the token table."""
+    h = ng.layer_norm(h, model.final_norm.gain, model.final_norm.bias)
+    return ng.matmul_t(h, model.token_table)
+
+
 def text_logits(model: Model, seq: TokenSequence) -> Tensor:
     """Next-token logits for every text position, [N, vocab_size].
 
@@ -511,9 +507,7 @@ def text_logits(model: Model, seq: TokenSequence) -> Tensor:
     the token embedding table."""
     hidden = forward_hidden(model, seq)
     m, n = seq.m, seq.n
-    h_t = ng.slice_rows(hidden.embeddings, m, m + n)
-    h_t = ng.layer_norm(h_t, model.final_norm.gain, model.final_norm.bias)
-    return ng.matmul(h_t, ng.transpose(model.token_table))
+    return _head(model, ng.slice_rows(hidden.embeddings, m, m + n))
 
 
 # --------------------------------------------------------------------------
@@ -552,24 +546,25 @@ class LayerCache:
         return self.rows.v[:, : self.n]
 
     def extended(self, k_new: np.ndarray, v_new: np.ndarray) -> "LayerCache":
-        """This cache plus one row ([n_heads, 1, head_dim] each), as a new one.
+        """This cache plus r rows ([n_heads, r, head_dim] each), as a new one.
 
-        The row goes into the shared buffer when the buffer has room and no
+        The rows go into the shared buffer when the buffer has room and no
         other context has written past row n; otherwise the n rows move to
-        a new buffer of twice the size.  So appending costs O(1) amortized,
-        and branches from one context never see each other's rows.
+        a new buffer of twice the size (or n + r, if larger).  So appending
+        costs O(1) amortized, and branches from one context never see each
+        other's rows.
         """
-        rows, n = self.rows, self.n
-        if rows.filled != n or n == rows.k.shape[1]:
-            k = np.empty((rows.k.shape[0], 2 * n, rows.k.shape[2]))
+        rows, n, end = self.rows, self.n, self.n + k_new.shape[1]
+        if rows.filled != n or end > rows.k.shape[1]:
+            k = np.empty((rows.k.shape[0], max(2 * n, end), rows.k.shape[2]))
             v = np.empty_like(k)
             k[:, :n] = rows.k[:, :n]
             v[:, :n] = rows.v[:, :n]
             rows = TextRows(k, v, n)
-        rows.k[:, n] = k_new[:, 0]
-        rows.v[:, n] = v_new[:, 0]
-        rows.filled = n + 1
-        return LayerCache(self.video_kv, rows, n + 1)
+        rows.k[:, n:end] = k_new
+        rows.v[:, n:end] = v_new
+        rows.filled = end
+        return LayerCache(self.video_kv, rows, end)
 
 
 @dataclass
@@ -584,19 +579,6 @@ class DecodeContext:
     caches: list[LayerCache]
 
 
-def _layer_norm_np(x: np.ndarray, norm: NormParams, eps: float = 1e-6) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * norm.gain.data + norm.bias.data
-
-
-def _mlp_np(mlp: MLPParams, x: np.ndarray) -> np.ndarray:
-    h = x @ mlp.w1.data + mlp.b1.data
-    phi = 0.5 * (1.0 + _erf(h / math.sqrt(2.0)))
-    return (h * phi) @ mlp.w2.data + mlp.b2.data
-
-
 def prefill(model: Model, seq: TokenSequence):
     """Forward over the whole prompt; returns (last-position logits, context).
 
@@ -604,46 +586,31 @@ def prefill(model: Model, seq: TokenSequence):
     key/value cache its cross branch read and the keys/values its self
     branch projected (text rows on the hybrid, the joint stream on the
     baseline), so the context costs no second pass.  Runs without graph
-    recording."""
+    recording; the head runs on the last row only."""
     m, n = seq.m, seq.n
     caches: list[LayerCache] = []
     with ng.no_grad():
         cur = forward_hidden(model, seq, caches)
-        h_last = cur.embeddings.data[m + n - 1 : m + n]
-        h_last = _layer_norm_np(h_last, model.final_norm)
-        logits = (h_last @ model.token_table.data.T)[0]
-    return logits, DecodeContext(n_text=n, caches=caches)
+        logits = _head(model, ng.slice_rows(cur.embeddings, m + n - 1, m + n))
+    return logits.data[0], DecodeContext(n_text=n, caches=caches)
 
 
 def decode_step(model: Model, ctx: DecodeContext, token_embedding):
     """Process one new text token against the cached context.
 
-    Returns (logits, the extended context).  The cross branch costs O(M)
-    against the frozen video cache, the self branch O(N) against the text
-    cache; generated tokens are text-role, so no scan runs.  `ctx` itself
-    is left unchanged, so several continuations can branch from it (see
-    `LayerCache.extended`)."""
-    e = token_embedding.data if isinstance(token_embedding, Tensor) else np.asarray(token_embedding)
-    x = e.reshape(1, model.config.d).astype(np.float64)
+    Each layer runs its text half (`_text_half`) on the new row, with the
+    layer's cache as `past`: the cross branch costs O(M) against the frozen
+    video cache, the self branch O(N) against the text cache; generated
+    tokens are text-role, so no scan runs.  Returns (logits, the extended
+    context).  `ctx` itself is left unchanged, so several continuations can
+    branch from it (see `LayerCache.extended`)."""
     caches: list[LayerCache] = []
     with ng.no_grad():
-        for layer, cache in zip(model.layers, ctx.caches):
-            x_ln = _layer_norm_np(x, layer.attn_norm)
-            k_new, v_new = (attn._heads(x_ln @ w.data, layer.self_attn.n_heads)
-                            for w in (layer.self_attn.w_k, layer.self_attn.w_v))
-            grown = cache.extended(k_new, v_new)
-            caches.append(grown)
-            attn_out = attn.attend_cached(layer.self_attn, x_ln, grown.text_k, grown.text_v,
-                                          "causal self-attention")
-            if cache.video_kv is not None:
-                cross = attn.cross_attention(layer.cross_attn, Tensor(x_ln), cache.video_kv)
-                a = float(1.0 / (1.0 + math.exp(-layer.self_attn.alpha_raw.item())))
-                attn_out = (1.0 - a) * cross.data + a * attn_out
-            x = x + attn_out
-            x = x + _mlp_np(layer.mlp, _layer_norm_np(x, layer.mlp_norm))
-        h = _layer_norm_np(x, model.final_norm)
-        logits = (h @ model.token_table.data.T)[0]
-    return logits, DecodeContext(n_text=ctx.n_text + 1, caches=caches)
+        x = ng.reshape(token_embedding, (1, model.config.d))
+        for layer, past in zip(model.layers, ctx.caches):
+            x = _text_half(layer, x, past.video_kv, caches, past)
+        logits = _head(model, x)
+    return logits.data[0], DecodeContext(n_text=ctx.n_text + 1, caches=caches)
 
 
 def generate_greedy(model: Model, seq: TokenSequence, steps: int) -> list[int]:

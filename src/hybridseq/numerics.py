@@ -48,6 +48,7 @@ __all__ = [
     "tensor",
     "zeros",
     "matmul",
+    "matmul_t",
     "rows_product",
     "bmatmul",
     "einsum2",
@@ -109,30 +110,29 @@ class NumericError(HybridSeqError):
 # Thread-local mode switches: grad recording and FLOP metering
 # --------------------------------------------------------------------------
 
-_LOCAL = threading.local()
+class _ModeState(threading.local):
+    """Per-thread switches; a thread that sets neither reads these defaults."""
+
+    grad_enabled = True
+    meter = None
 
 
-def _local_state():
-    if not hasattr(_LOCAL, "grad_enabled"):
-        _LOCAL.grad_enabled = True
-        _LOCAL.meter = None
-    return _LOCAL
+_LOCAL = _ModeState()
 
 
 def is_grad_enabled() -> bool:
-    return _local_state().grad_enabled
+    return _LOCAL.grad_enabled
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference / benchmarking)."""
-    st = _local_state()
-    prev = st.grad_enabled
-    st.grad_enabled = False
+    prev = _LOCAL.grad_enabled
+    _LOCAL.grad_enabled = False
     try:
         yield
     finally:
-        st.grad_enabled = prev
+        _LOCAL.grad_enabled = prev
 
 
 # Per-element FLOP charges for non-matmul primitives.  Values are a fixed
@@ -181,14 +181,12 @@ class FlopMeter:
 @contextmanager
 def count_flops():
     """Install a fresh FlopMeter for the block and yield it."""
-    st = _local_state()
-    prev = st.meter
-    meter = FlopMeter()
-    st.meter = meter
+    prev = _LOCAL.meter
+    meter = _LOCAL.meter = FlopMeter()
     try:
         yield meter
     finally:
-        st.meter = prev
+        _LOCAL.meter = prev
 
 
 def meter_add(kind: str, n: float) -> None:
@@ -197,13 +195,13 @@ def meter_add(kind: str, n: float) -> None:
     Public so that fused fast paths (e.g. blocked attention) can report the
     same counts as the equivalent primitive composition would.
     """
-    meter = _local_state().meter
+    meter = _LOCAL.meter
     if meter is not None:
         meter.add(kind, n)
 
 
 def _meter_elementwise(kind: str, n_elements: int) -> None:
-    meter = _local_state().meter
+    meter = _LOCAL.meter
     if meter is not None:
         meter.add(kind, FLOP_COST[kind] * n_elements)
 
@@ -227,7 +225,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if _vjp is None and not np.all(np.isfinite(arr)):
+        if _vjp is None and not np.isfinite(arr).all():
             raise NumericError("tensor constructed from non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -332,7 +330,7 @@ def _coerce(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Wrap an op result; record the graph only when grads are live."""
-    if is_grad_enabled() and any(p.requires_grad for p in parents):
+    if _LOCAL.grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp)
     return _leaf(data)
 
@@ -440,17 +438,34 @@ def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matmul(a, b) -> Tensor:
     """Strict 2-D matrix product [m,k] x [k,n] -> [m,n]."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = rows_product(a.data, b.data)
-    meter_add("matmul", 2.0 * a.shape[0] * a.shape[1] * b.shape[1])
     ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} x {bd.shape}")
+    out = rows_product(ad, bd)
+    meter_add("matmul", 2.0 * ad.shape[1] * out.size)
 
     def vjp(g):
         return (g @ bd.T if a.requires_grad else None,
                 ad.T @ g if b.requires_grad else None)
+
+    return _node(out, (a, b), vjp)
+
+
+def matmul_t(a, b) -> Tensor:
+    """a @ b^T for 2-D operands [m,k] x [n,k] -> [m,n], reading b in place
+    (a tied output head multiplies by the embedding table this way)."""
+    a, b = _coerce(a), _coerce(b)
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[1]:
+        raise ShapeError(f"matmul_t expects [m,k] x [n,k], got {ad.shape} and {bd.shape}")
+    out = rows_product(ad, bd.T)
+    meter_add("matmul", 2.0 * ad.shape[1] * out.size)
+
+    def vjp(g):  # b's gradient rounds as matmul(a, transpose(b)) gives it
+        return (g @ bd if a.requires_grad else None,
+                (ad.T @ g).T if b.requires_grad else None)
 
     return _node(out, (a, b), vjp)
 
@@ -857,9 +872,10 @@ def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must have shape [last_dim]")
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / d rounds as np.mean does (test-pinned) without its Python wrapper
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
     out = xhat * gain.data + bias.data

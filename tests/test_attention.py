@@ -460,7 +460,8 @@ class TestAttendCore:
         q, keys = rng.standard_normal((lq, 8)), rng.standard_normal((lk, 8))
         allowed = rng.integers(0, lk, size=lq)
         assert np.any(np.diff(allowed) < 0)
-        kernel_against_tape(p, lambda a, b: attn_mod._mha(p, a, [b], allowed, "test"),
+        kernel_against_tape(p, lambda a, b: attn_mod._mha(p, a, attn_mod._projected(p, [b]),
+                                                          allowed, "test"),
                             lambda a, b: mha_tape(p, a, [b], allowed), q, keys)
 
     @pytest.mark.parametrize("perturbed", [2 * TILE, TILE + 2])
@@ -497,11 +498,13 @@ class TestAttendCore:
         cache = build_video_kv_cache(p, Tensor(x_ln))
         with ng.no_grad():
             inline = cross_attention(p, Tensor(x_ln[-1:]), Tensor(x_ln))
-            causal_last = attn_mod._mha(p, Tensor(x_ln[-1:]), [Tensor(x_ln)],
+            causal_last = attn_mod._mha(p, Tensor(x_ln[-1:]),
+                                        attn_mod._projected(p, [Tensor(x_ln)]),
                                         np.array([29]), "test")
-        branch = attn_mod.attend_cached(p, x_ln[-1:], cache.k, cache.v, "test")
-        assert np.array_equal(branch, inline.data)
-        assert np.array_equal(branch, causal_last.data)
+            branch = attn_mod._mha(p, Tensor(x_ln[-1:]), (cache.k, cache.v),
+                                   np.array([29]), "test")
+        assert np.array_equal(branch.data, inline.data)
+        assert np.array_equal(branch.data, causal_last.data)
 
     @pytest.mark.parametrize("path", ["self", "joint", "cross"])
     def test_metered_flops_equal_closed_form(self, monkeypatch, path):
@@ -539,6 +542,21 @@ class TestAttendCore:
                 out = cross_attention(p, text, video)
             counts.append(sum(t._vjp is not None for t in ng.GradTape(out).nodes))
         assert counts == [6 if path == "joint" else 5] * 2
+
+    def test_cached_keys_and_values_are_constants_under_grad(self):
+        # a cache's head arrays: the same output as the projected rows, and
+        # the query's gradient, with no parent for the cache
+        rng = ng.new_rng(173)
+        q = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+        k, v = (Tensor(rng.standard_normal((5, 8))) for _ in range(2))
+        allowed = np.array([2, 3, 4])
+        inline = attn_mod._attention(q, k, v, 2, allowed, "test")
+        cached = attn_mod._attention(q, attn_mod._heads(k.data, 2), attn_mod._heads(v.data, 2),
+                                     2, allowed, "test")
+        assert cached._parents == (q,)
+        assert np.array_equal(cached.data, inline.data)
+        g = rng.standard_normal((3, 8))
+        assert np.array_equal(cached._vjp(g)[0], inline._vjp(g)[0])
 
     @pytest.mark.parametrize("which", range(3))
     def test_vjp_returns_none_for_operands_without_grad(self, which):

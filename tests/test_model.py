@@ -147,10 +147,8 @@ class TestLayerForwards:
         model = build_model(cfg, seed=9)
         layer = model.layers[0]
         seq = random_sequence(model, m=5, n=4, seed=10)
-        x_ln = Tensor(
-            mod._layer_norm_np(seq.embeddings.data, layer.attn_norm)
-        )
         with ng.no_grad():
+            x_ln = ng.layer_norm(seq.embeddings, layer.attn_norm.gain, layer.attn_norm.bias)
             joint = attn.causal_self_attention(layer.self_attn, x_ln)
             text_only = attn.joint_causal_attention_text(
                 layer.self_attn, ng.slice_rows(x_ln, 0, 5), ng.slice_rows(x_ln, 5, 9)
@@ -347,17 +345,63 @@ class TestPrefillWritesCaches:
             prefill(model, seq)
         with ng.no_grad(), ng.count_flops() as without:
             forward_hidden(model, seq)
-        assert with_sink.by_kind == without.by_kind
+        # plus the head on the last row: final norm and the tied product
+        d, vocab = model.config.d, model.config.vocab_size
+        head = {"layer_norm": 8 * d, "matmul": 2 * d * vocab}
+        assert with_sink.by_kind == {k: c + head.get(k, 0) for k, c in without.by_kind.items()}
 
-    @pytest.mark.parametrize("arch,m,flops", [(ARCH_HYBRID, 1024, 385_278_106),
-                                              (ARCH_BASELINE, 512, 300_441_600)])
-    def test_prefill_flops_at_the_benchmark_shape(self, arch, m, flops):
+    @pytest.mark.parametrize("arch,m,layers_flops", [(ARCH_HYBRID, 1024, 385_278_106),
+                                                     (ARCH_BASELINE, 512, 300_441_600)])
+    def test_prefill_flops_at_the_benchmark_shape(self, arch, m, layers_flops):
+        from hybridseq.profiler import analytic_cost
+
         cfg = HybridStackConfig(d=64, n_layers=2, n_heads=4, vocab_size=256, architecture=arch,
                                 block_variant="mamba2" if arch == ARCH_HYBRID else BLOCK_NONE)
         model = build_model(cfg.validate(), seed=0)
         with ng.count_flops() as meter:
             prefill(model, random_sequence(model, m=m, n=64, seed=77))
-        assert meter.total == flops
+        # the layers, then the head: 8*d + 2*d*vocab = 33,280, for totals of
+        # 385,311,386 (hybrid) and 300,474,880 (baseline), the analytic counts
+        assert meter.total == layers_flops + 33_280
+        assert meter.total == analytic_cost(arch, m, 64, 64, 2, block_variant=cfg.block_variant)[0]
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_decode_step_flops_equal_closed_form(self, arch):
+        model = build_model(small_config(arch=arch), seed=82)
+        cfg = model.config
+        d, h, hidden, m, n = cfg.d, cfg.n_heads, cfg.mlp_ratio * cfg.d, 5, 3
+        _, ctx = prefill(model, random_sequence(model, m=m, n=n, seed=83))
+        with ng.count_flops() as meter:
+            decode_step(model, ctx, model.token_table.data[4])
+
+        def attention(keys, projected):
+            # one query row: q and output projections, `projected` of k and
+            # v, scores and weighted values, softmax
+            return 2 * d * d * (2 + projected) + 4 * keys * d + 5 * keys * h
+
+        if arch == ARCH_HYBRID:
+            # cross over the cached video, self over the text rows, blend
+            mix = attention(m, 0) + attention(n + 1, 2) + 4 + 1 + 3 * d
+        else:
+            mix = attention(m + n + 1, 2)
+        mlp = 4 * d * hidden + hidden + d + 8 * hidden
+        per_layer = 8 * d + mix + d + 8 * d + mlp + d
+        assert meter.total == cfg.n_layers * per_layer + 8 * d + 2 * d * cfg.vocab_size
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    @pytest.mark.parametrize("d,heads,m,n", [(8, 2, 5, 3), (64, 4, 16, 64)])
+    def test_decode_appends_the_row_a_fresh_prefill_projects(self, arch, d, heads, m, n):
+        model = build_model(small_config(arch=arch, d=d, n_heads=heads), seed=84,
+                            mamba_out_std=0.2)
+        rng = ng.new_rng(85)
+        video = rng.standard_normal((m, d))
+        ids = rng.integers(0, model.config.vocab_size, size=n)
+        _, ctx = prefill(model, make_sequence(model, video, ids))
+        _, ctx = decode_step(model, ctx, model.token_table.data[7])
+        _, fresh = prefill(model, make_sequence(model, video, np.append(ids, 7)))
+        got, want = ctx.caches[0], fresh.caches[0]
+        assert np.array_equal(got.text_k[:, -1], want.text_k[:, -1])
+        assert np.array_equal(got.text_v[:, -1], want.text_v[:, -1])
 
     def test_greedy_skips_the_unread_last_decode_step(self, monkeypatch):
         model = build_model(small_config(), seed=80, mamba_out_std=0.2)

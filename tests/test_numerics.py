@@ -1,6 +1,7 @@
 """Tests for the tensor/autodiff substrate."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -186,6 +187,21 @@ class TestLayerNorm:
     def test_eps_contract(self):
         with pytest.raises(ContractError):
             ng.layer_norm(Tensor([1.0]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
+
+    def test_sums_over_the_width_round_as_np_mean(self):
+        # layer_norm takes mean and variance as sum / d; pinned against the
+        # np.mean form bit for bit
+        rng = ng.new_rng(11)
+        shapes = [(1, 64), (3, 64), (64, 64), (65, 256), (1000, 256)]
+        for i in range(500):
+            shape = shapes[i % len(shapes)]
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50)
+            gain, bias = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+            xc = x - x.mean(axis=-1, keepdims=True)
+            var = (xc * xc).mean(axis=-1, keepdims=True)
+            ref = xc * (1.0 / np.sqrt(var + 1e-6)) * gain + bias
+            got = ng.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+            assert np.array_equal(got, ref), f"array {i}, shape {shape}"
 
 
 class TestBackward:
@@ -414,6 +430,7 @@ PRIMITIVE_CASES = [
         lambda x: ng.tsum(ng.take_along_rows(x, np.array([[0, 2], [1, 0], [2, 2]]))),
         (3, 4),
     ),
+    ("matmul_t", lambda x: ng.tsum(ng.mul(ng.matmul_t(ng.slice_rows(x, 0, 2), x), 0.5)), (4, 3)),
 ]
 
 
@@ -451,6 +468,44 @@ class TestModesAndMeter:
             ng.add(Tensor(np.ones(2)), 1.0)
         assert inner.total == 8
         assert outer.total == 6
+
+    def test_matmul_t_is_the_product_with_the_transpose(self):
+        rng = ng.new_rng(12)
+        a, b = Tensor(rng.standard_normal((3, 5))), Tensor(rng.standard_normal((7, 5)))
+        with ng.count_flops() as meter:
+            out = ng.matmul_t(a, b)
+        assert np.allclose(out.data, a.data @ b.data.T, rtol=0, atol=1e-13)
+        assert meter.total == 2 * 3 * 5 * 7
+        with pytest.raises(ShapeError):
+            ng.matmul_t(a, Tensor(np.zeros((5, 7))))
+
+    def test_modes_are_per_thread(self):
+        # a new thread starts with grad on and no meter, whatever the thread
+        # that starts it has switched; switches made in it stay in it
+        entered, leave = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            x = Tensor(np.ones(3), requires_grad=True)
+            seen["fresh"] = (ng.is_grad_enabled(), ng.mul(x, 2.0).requires_grad)
+            with ng.no_grad(), ng.count_flops() as meter:
+                entered.set()
+                leave.wait(10)
+                seen["kept"] = (ng.is_grad_enabled(), ng.mul(x, 2.0).requires_grad)
+                ng.add(Tensor(np.ones(5)), 1.0)
+            seen["meter"] = meter.total
+
+        with ng.no_grad(), ng.count_flops() as outer:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            entered.wait(10)
+            ng.add(Tensor(np.ones(2)), 1.0)
+        x = Tensor(np.ones(3), requires_grad=True)
+        assert ng.is_grad_enabled() and ng.mul(x, 2.0).requires_grad
+        leave.set()
+        thread.join(10)
+        assert seen == {"fresh": (True, True), "kept": (False, False), "meter": 3 + 5}
+        assert outer.total == 2
 
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(NumericError):
