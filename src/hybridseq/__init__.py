@@ -75,7 +75,6 @@ from .profiler import (
 )
 from .ssm import (
     SSMParams,
-    SSMState,
     hippo_init,
     init_ssm_params,
     mamba_block_forward,

@@ -84,7 +84,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:

@@ -463,9 +463,11 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
     x_v = ng.slice_rows(x, 0, m)
     video = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
     if cache_sink is not None:
-        # built before the block's temporaries, like the scan's h_final
+        # built before the block's temporaries: allocated after them, the
+        # cache could land among their freed blocks and keep the allocator
+        # from returning that memory
         video = attn.build_video_kv_cache(layer.cross_attn, video)
-    v_out = x_v if layer.mamba is None else ssm_mod.mamba_block_forward(layer.mamba, x_v)[0]
+    v_out = x_v if layer.mamba is None else ssm_mod.mamba_block_forward(layer.mamba, x_v)
     t_out = _text_half(layer, ng.slice_rows(x, m, m + n), video, cache_sink)
     return TokenSequence(ng.concat_rows([v_out, t_out]), seq.roles)
 

@@ -45,8 +45,6 @@ __all__ = [
     "backward",
     "finite_diff_grad",
     "new_rng",
-    "tensor",
-    "zeros",
     "matmul",
     "matmul_t",
     "rows_product",
@@ -67,13 +65,11 @@ __all__ = [
     "mul",
     "div",
     "tsum",
-    "tmean",
     "exp",
     "expm1",
     "log",
     "sqrt",
     "custom_op",
-    "tanh",
     "sigmoid",
     "silu",
     "softplus",
@@ -143,11 +139,9 @@ FLOP_COST = {
     "sub": 1,
     "mul": 1,
     "div": 1,
-    "neg": 1,
     "exp": 1,
     "log": 1,
     "sqrt": 1,
-    "tanh": 5,
     "sigmoid": 4,
     "silu": 5,
     "softplus": 3,
@@ -172,10 +166,6 @@ class FlopMeter:
     def add(self, kind: str, n: float) -> None:
         self.total += n
         self.by_kind[kind] = self.by_kind.get(kind, 0.0) + n
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.by_kind.clear()
 
 
 @contextmanager
@@ -288,30 +278,13 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def new_rng(seed: int) -> np.random.Generator:
@@ -431,7 +404,8 @@ def rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-D arrays, with each row rounded as in a product of many
     rows.  numpy hands a one-row product to gemv, which rounds differently
     from gemm; two rows keep it on gemm, so a row's result does not depend
-    on how many rows share the call (stream chaining relies on that)."""
+    on how many rows share the call.  That keeps decode's one-row keys and
+    values bit-identical to the rows prefill projects."""
     return (np.concatenate([a, a]) @ b)[:1] if a.shape[0] == 1 else a @ b
 
 
@@ -702,15 +676,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(np.asarray(out), (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _coerce(a)
-    if axis is None:
-        denom = a.size
-    else:
-        denom = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / denom)
-
-
 # --------------------------------------------------------------------------
 # Element-wise nonlinearities
 # --------------------------------------------------------------------------
@@ -749,12 +714,6 @@ def sqrt(a) -> Tensor:
     a = _coerce(a)
     out = np.sqrt(a.data)
     return _unary(a, out, lambda: 0.5 / out, "sqrt")
-
-
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    out = np.tanh(a.data)
-    return _unary(a, out, lambda: 1.0 - out * out, "tanh")
 
 
 def sigmoid(a) -> Tensor:

@@ -280,20 +280,19 @@ def leading_term_cost(arch: str, m: int, n: int, d: int) -> float:
     raise ContractError(f"unknown architecture {arch!r}")
 
 
+def _cost_model(cfg: mod.HybridStackConfig) -> CostModel:
+    """The cost model of a built model's configuration."""
+    return CostModel(
+        architecture=cfg.architecture, d=cfg.d, layers=cfg.n_layers, n_heads=cfg.n_heads,
+        vocab_size=cfg.vocab_size, mlp_ratio=cfg.mlp_ratio, block_variant=cfg.block_variant,
+        n_state=cfg.n_state or (16 if cfg.block_variant == "mamba1" else 64),
+    )
+
+
 def memory_estimate(model_or_arch, m: int, n: int, **kw) -> float:
     """Peak live activation values for a retain-for-backward forward pass."""
     if isinstance(model_or_arch, Model):
-        cfg = model_or_arch.config
-        cm = CostModel(
-            architecture=cfg.architecture,
-            d=cfg.d,
-            layers=cfg.n_layers,
-            n_heads=cfg.n_heads,
-            vocab_size=cfg.vocab_size,
-            mlp_ratio=cfg.mlp_ratio,
-            block_variant=cfg.block_variant,
-            n_state=cfg.n_state or (16 if cfg.block_variant == "mamba1" else 64),
-        )
+        cm = _cost_model(model_or_arch.config)
     else:
         cm = CostModel(model_or_arch, kw.pop("d", 64), kw.pop("layers", 2), **kw)
     return cm.memory_values(m, n)
@@ -404,9 +403,9 @@ def bench(
         raise ContractError("bench needs repeats >= 3 for a stable median")
     reports: list[CostReport] = []
     for arch, model in models.items():
-        cfg = model.config
+        cfg, cm = model.config, _cost_model(model.config)
         for m, n in grid:
-            mem = memory_estimate(model, m, n)
+            mem = cm.memory_values(m, n)
             base = CostReport(arch=arch, m=m, n=n, d=cfg.d, layers=cfg.n_layers,
                               mem_estimate=mem)
             if mem > mem_budget_values:
@@ -418,12 +417,7 @@ def bench(
                 reports.append(base)
                 continue
             seq = _sequence_for(model, m, n, seed=seed)
-            base.flops_analytic = analytic_cost(
-                cfg.architecture, m, n, cfg.d, cfg.n_layers,
-                n_heads=cfg.n_heads, vocab_size=cfg.vocab_size,
-                mlp_ratio=cfg.mlp_ratio, block_variant=cfg.block_variant,
-                n_state=cfg.n_state or (16 if cfg.block_variant == "mamba1" else 64),
-            )[0]
+            base.flops_analytic = cm.flops(m, n)
             base.flops_counted = counted_cost(model, seq)
             mod.prefill(model, seq)  # warm-up before timing
             samples = []

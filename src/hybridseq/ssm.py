@@ -15,35 +15,24 @@ input.
 
 Which scan runs where:
 
-* `mamba_block_forward` runs its whole body (norm, projection,
-  convolution, scan, gate, output projection, residual) over row groups
-  of `_SSD_GROUP * SSD_CHUNK` rows anchored at absolute stream positions.
+* `mamba_block_forward` takes a whole stream from a zero state.  It runs
+  its whole body (norm, projection, convolution, scan, gate, output
+  projection, residual) over row groups of `_SSD_GROUP * SSD_CHUNK` rows.
   A group hands the next one the SSM state and the convolution tail (the
   last 3 raw branch inputs) as graph nodes, so gradients cross group
-  boundaries; a call inside one group runs the body once on its input.
+  boundaries; an input of one group runs the body once on x itself.  No
+  matrix product in the block sees more than one group's rows.
 * Within a group, mamba2 runs the chunked core (`_ssd_rows`, chunk
   `SSD_CHUNK`) and mamba1 the blocked sequential scan, in prefill,
   evaluation and training alike.  Both are built from `numerics` ops, so
   they record a graph under grad, meter their FLOPs, and run the same code
-  without grad.
+  without grad.  Both take the state the group before left and the
+  group's offset in the stream, which a `NumericError` adds to the index
+  of the first bad row to name its token.
 * `linear_recurrence` is the one hand-written recurrence (and VJP) in this
   module.  `scan_sequential` runs it over blocks of `SCAN_BLOCK` rows; the
   chunked core runs it to pass the state from chunk to chunk.
 * `scan_sequential` is also the oracle the chunked core is tested against.
-
-`SSMState` carries the hidden state `h`, the convolution tail and, after a
-chunked scan, the open chunk (`OpenChunk`: the state at the chunk's start
-plus its consumed rows of dA, B and x*delta).  The chunk and group grids
-are anchored at absolute positions and every chunk is evaluated at full
-width.  A row's result then depends on its position, not on where a call
-begins or ends, as long as every matrix product rounds each row the same
-whatever the number of rows.  OpenBLAS does not always: at d_model = 64 it
-switches kernels for the delta projection above 1953 rows.  No product in
-the block sees more than one group's rows, so a stream fed to the block in
-pieces is bit-identical to one fed whole, wherever it is cut.
-`scan_sequential` projects `SCAN_BLOCK` rows at a time and chains the same
-way; `_ssd_scan` called alone on longer inputs can differ from a cut
-stream in the last bit.
 """
 
 from __future__ import annotations
@@ -60,8 +49,6 @@ __all__ = [
     "MAMBA1",
     "MAMBA2",
     "SSMParams",
-    "SSMState",
-    "OpenChunk",
     "hippo_init",
     "zoh_discretize",
     "linear_recurrence",
@@ -82,7 +69,7 @@ _SSD_GROUP = 16  # chunks per row group of the block
 
 
 # --------------------------------------------------------------------------
-# Parameters and state
+# Parameters
 # --------------------------------------------------------------------------
 
 
@@ -133,43 +120,6 @@ class SSMParams:
             f"{prefix}.a_log": self.a_log,
             f"{prefix}.w_out": self.w_out,
         }
-
-
-@dataclass
-class OpenChunk:
-    """The unfinished chunk of a chunked scan: the state at its start
-    boundary and the rows it has consumed so far."""
-
-    h: np.ndarray  # [n_heads, head_dim, n_state]
-    da: np.ndarray  # [r, n_heads]
-    b: np.ndarray  # [r, n_state]
-    xdt: np.ndarray  # [r, n_heads, head_dim]
-
-    def copy(self) -> "OpenChunk":
-        return OpenChunk(self.h.copy(), self.da.copy(), self.b.copy(), self.xdt.copy())
-
-
-@dataclass
-class SSMState:
-    """Running state of one block: SSM hidden state plus convolution tail,
-    and the open chunk of the chunked scan (None at a chunk boundary)."""
-
-    h: np.ndarray  # [n_heads, head_dim, n_state]
-    conv_tail: np.ndarray  # [CONV_WIDTH-1, d_inner], most recent input last
-    position: int = 0
-    open_chunk: OpenChunk | None = None
-
-    def copy(self) -> "SSMState":
-        oc = None if self.open_chunk is None else self.open_chunk.copy()
-        return SSMState(self.h.copy(), self.conv_tail.copy(), self.position, oc)
-
-
-def init_state(params: SSMParams) -> SSMState:
-    return SSMState(
-        h=np.zeros((params.n_heads, params.head_dim, params.n_state)),
-        conv_tail=np.zeros((CONV_WIDTH - 1, params.d_inner)),
-        position=0,
-    )
 
 
 def hippo_init(n_state: int) -> np.ndarray:
@@ -358,12 +308,10 @@ def _scan_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s0: Tensor):
 
 
 def _sequential_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, position: int):
-    """`scan_sequential`'s body: the rows x [T, d_inner] of the stream at
-    `position` from the state s (a Tensor shaped like `SSMState.h`).
+    """`scan_sequential`'s body: the rows x [T >= 1, d_inner] of the stream
+    at `position` from the state s, a Tensor [heads, head_dim, n_state].
     Returns (y, the end state as a Tensor of the same shape)."""
     T = x.shape[0]
-    if T == 0:
-        return ng.slice_rows(x, 0, 0), s
     h, p, n = params.n_heads, params.head_dim, params.n_state
     shape = (params.d_inner, n) if params.variant == MAMBA1 else (h, p, n)
     s = ng.reshape(s, shape)
@@ -380,31 +328,28 @@ def _sequential_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, pos
     return y, ng.reshape(s, (h, p, n))
 
 
-def scan_sequential(params: SSMParams, x: Tensor, state: SSMState | None = None):
-    """Exact left-to-right selective scan over x [T, d_inner].
+def scan_sequential(params: SSMParams, x: Tensor) -> Tensor:
+    """Exact left-to-right selective scan over x [T, d_inner] from a zero
+    state; returns y [T, d_inner].
 
     The rows are scanned in blocks of `SCAN_BLOCK`; each block starts from
     the last state of the one before, passed on as a graph node, so
     gradients cross the block boundaries and, without grad, only one block
-    of per-step states is alive at a time.  Returns (y [T, d_inner], final
-    SSMState).  The returned state allows seamless continuation: scanning a
-    split sequence with the carried state reproduces the monolithic scan.
+    of per-step states is alive at a time.
     """
-    if state is None:
-        state = init_state(params)
+    if x.shape[0] == 0:
+        raise ContractError("the scan needs at least one row")
     a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    y, s = _sequential_rows(params, a_neg, x, Tensor(state.h), state.position)
-    new_state = SSMState(h=s.data.copy(), conv_tail=state.conv_tail.copy(),
-                         position=state.position + x.shape[0])
-    return y, new_state
+    s0 = Tensor(np.zeros((params.n_heads, params.head_dim, params.n_state)))
+    return _sequential_rows(params, a_neg, x, s0, 0)[0]
 
 
 def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: int):
     """Whole chunks of the scan, from the state h0 [heads, n_state, head_dim].
 
     Takes the rows of dA [K*q, heads], B and C [K*q, n_state] and x*delta
-    [K*q, heads, head_dim].  Returns (y [K*q, heads*head_dim], the state at
-    each chunk's start [K, heads, n_state, head_dim], the end state).
+    [K*q, heads, head_dim].  Returns (y [K*q, heads*head_dim], the end
+    state).
     """
     K = da.shape[0] // q
     hh, n, p = h0.shape
@@ -441,22 +386,18 @@ def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: in
     y_state = ng.bmatmul(ng.reshape(c_k, (K, 1, q, n)), starts)
     y = ng.add(y, ng.mul(y_state, ng.reshape(ng.exp(cum), (K, hh, q, 1))))
     y = ng.reshape(ng.permute(y, (0, 2, 1, 3)), (K * q, hh * p))
-    return y, starts, ng.reshape(ng.slice_rows(ends, K - 1, K), (hh, n, p))
+    return y, ng.reshape(ng.slice_rows(ends, K - 1, K), (hh, n, p))
 
 
-def _ssd_rows(params: SSMParams, a_neg: Tensor, x: Tensor, h: Tensor,
-              oc: OpenChunk | None, position: int, chunk: int):
-    """The chunked scan over the rows x [T, d_inner] of the stream at
-    `position`, as `_ssd_scan` describes, evaluating every chunk they touch
-    at once.  Starts from the state h, a Tensor laid out as the chunks
-    carry it, [heads, n_state, head_dim], or from the open chunk `oc` when
-    one is carried.  Returns (y, the end state laid out as h, the new open
-    chunk or None)."""
+def _ssd_rows(params: SSMParams, a_neg: Tensor, x: Tensor, h: Tensor, position: int,
+              chunk: int):
+    """The chunked scan over the rows x [T >= 1, d_inner] of the stream at
+    `position`, as `scan_chunked_ssd` describes, from the state h, a Tensor
+    laid out as the chunks carry it, [heads, n_state, head_dim].  The last
+    chunk is filled up with zero rows, so every chunk is evaluated at full
+    width.  Returns (y, the end state laid out as h)."""
     T = x.shape[0]
-    hh, p, n = params.n_heads, params.head_dim, params.n_state
-    if T == 0:
-        return ng.slice_rows(x, 0, 0), h, None if oc is None else oc.copy()
-
+    hh, p = params.n_heads, params.head_dim
     delta, b, c = _selective_inputs(params, x)
     da = ng.mul(delta, a_neg)  # [T, h], all entries < 0
     xdt = ng.mul(ng.reshape(x, (T, hh, p)), ng.reshape(delta, (T, hh, 1)))  # [T, h, p]
@@ -464,43 +405,25 @@ def _ssd_rows(params: SSMParams, a_neg: Tensor, x: Tensor, h: Tensor,
     if bad is not None:
         raise NumericError(f"scan produced non-finite state at token {position + bad}")
 
-    r = 0 if oc is None else oc.da.shape[0]
-    q = chunk
-    rows = -(-(r + T) // q) * q
-    pad = rows - (r + T)
-
-    def frame(carried: np.ndarray | None, t: Tensor) -> Tensor:
-        # the open chunk's rows first, zero rows up to the chunk grid last
-        parts = [Tensor(carried)] if r else []
-        parts.append(t)
-        if pad:
-            parts.append(Tensor(np.zeros((pad,) + t.shape[1:])))
-        return ng.concat_rows(parts) if len(parts) > 1 else t
-
-    # carried rows read out nothing: their outputs were returned already
-    carried = (oc.da, oc.b, np.zeros((r, n)), oc.xdt) if r else (None,) * 4
-    framed = [frame(cr, t) for cr, t in zip(carried, (da, b, c, xdt))]
-    h0 = h if oc is None else Tensor(oc.h.transpose(0, 2, 1))
-    y, starts, h = _ssd_chunks(*framed, h0, q)
-    if r or pad:
-        y = ng.slice_rows(y, r, r + T)
+    pad = -T % chunk
+    rows = (da, b, c, xdt)
+    if pad:
+        rows = [ng.concat_rows([t, Tensor(np.zeros((pad,) + t.shape[1:]))]) for t in rows]
+    y, h = _ssd_chunks(*rows, h, chunk)
+    if pad:
+        y = ng.slice_rows(y, 0, T)
 
     bad = _first_bad_row(y.data)
     if bad is None and not np.all(np.isfinite(h.data)):
         bad = T - 1
     if bad is not None:
         raise NumericError(f"scan produced non-finite state at token {position + bad}")
-
-    open_chunk = None
-    if pad:
-        lo, hi = rows - q, rows - pad
-        open_chunk = OpenChunk(starts.data[-1].transpose(0, 2, 1).copy(),
-                               *(t.data[lo:hi].copy() for t in (framed[0], framed[1], framed[3])))
-    return y, h, open_chunk
+    return y, h
 
 
-def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):
-    """Chunked state-space-dual scan of mamba2 over x [T, d_inner].
+def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
+    """Chunked state-space-dual scan of mamba2 over x [T, d_inner] from a
+    zero state; numerically equivalent to `scan_sequential`.
 
     Within a chunk the scan is a masked matrix form, y = (L o C B^T) (x dt)
     with L[t, s] = exp(sum of dA over s+1..t); between chunks only the
@@ -510,10 +433,7 @@ def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):
     batched matmul.  All chunks of x are evaluated at once; the block bounds
     the working set by cutting its rows into groups before the scan.
 
-    The grid continues `state`: its open chunk is finished first, every
-    chunk is evaluated at full width with zero rows after the input, and
-    the unfinished last chunk is carried in the returned state.  Returns
-    (y [T, d_inner], SSMState).  Raises NumericError naming the first token
+    Returns y [T, d_inner].  Raises NumericError naming the first token
     whose inputs (dA, B, C, x dt) or output are non-finite, or the last
     token when only the final state is.
     """
@@ -521,19 +441,11 @@ def _ssd_scan(params: SSMParams, x: Tensor, state: SSMState, chunk: int):
         raise ContractError("the chunked scan requires the mamba2 variant")
     if chunk <= 0:
         raise ContractError("chunked scan: chunk size must be positive")
+    if x.shape[0] == 0:
+        raise ContractError("the scan needs at least one row")
     a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    y, h, open_chunk = _ssd_rows(params, a_neg, x, Tensor(state.h.transpose(0, 2, 1)),
-                                 state.open_chunk, state.position, chunk)
-    new_state = SSMState(h=h.data.transpose(0, 2, 1).copy(), conv_tail=state.conv_tail.copy(),
-                         position=state.position + x.shape[0], open_chunk=open_chunk)
-    return y, new_state
-
-
-def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
-    """Chunked parallel scan (state-space dual form) from a zero state,
-    mamba2 only: the output of `_ssd_scan`, numerically equivalent to
-    `scan_sequential`."""
-    return _ssd_scan(params, x, init_state(params), chunk)[0]
+    h0 = Tensor(np.zeros((params.n_heads, params.n_state, params.head_dim)))
+    return _ssd_rows(params, a_neg, x, h0, 0, chunk)[0]
 
 
 # --------------------------------------------------------------------------
@@ -588,12 +500,12 @@ def causal_conv4(params: SSMParams, xz: Tensor, tail) -> Tensor:
 
 
 def _block_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, tail,
-                oc: OpenChunk | None, position: int):
+                position: int):
     """The block body over the rows x of one group, at `position` in the
     stream, from the SSM state s (laid out as the variant's scan carries
-    it), the convolution tail (the 3 raw branch inputs before x) and the
-    open chunk.  Returns (output, SSM state, tail, open chunk) for the next
-    group; s and the tail come back as Tensors."""
+    it) and the convolution tail (the 3 raw branch inputs before x).
+    Returns (output, SSM state, tail) for the next group; s and the tail
+    come back as Tensors."""
     proj = ng.matmul(ng.layer_norm(x, params.norm_gain, params.norm_bias), params.w_in)
     xz = ng.slice_cols(proj, 0, params.d_inner)
     gate = ng.slice_cols(proj, params.d_inner, 2 * params.d_inner)
@@ -609,55 +521,46 @@ def _block_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, tail,
     del proj, xz
 
     if params.variant == MAMBA2:
-        y_ssm, s, oc = _ssd_rows(params, a_neg, u, s, oc, position, SSD_CHUNK)
+        y_ssm, s = _ssd_rows(params, a_neg, u, s, position, SSD_CHUNK)
     else:
         y_ssm, s = _sequential_rows(params, a_neg, u, s, position)
 
     gated = ng.mul(y_ssm, ng.silu(gate))
     out = ng.matmul(gated, params.w_out)
-    return ng.add(x, out), s, tail, oc
+    return ng.add(x, out), s, tail
 
 
-def mamba_block_forward(params: SSMParams, x: Tensor, state: SSMState | None = None):
-    """Full residual block over x [T, d_model].
+def mamba_block_forward(params: SSMParams, x: Tensor) -> Tensor:
+    """Full residual block over a whole stream x [T, d_model] from a zero
+    state.
 
     pre-LN -> input projection (expand x2, splitting an SSM branch and a
     gate branch) -> width-4 causal depthwise convolution -> SiLU ->
     selective scan -> SiLU-gated multiply -> output projection -> residual.
-    Causal end to end; the returned state resumes the stream.
+    Causal end to end.
 
-    The body runs over groups of `_SSD_GROUP * SSD_CHUNK` rows anchored at
-    absolute stream positions.  Each group starts from the SSM state and
-    convolution tail the group before left, passed on as graph nodes, so
-    gradients cross group boundaries and, without grad, only one group's
-    temporaries are alive at a time.  A call inside one group runs the body
-    once on x itself.
+    The body runs over groups of `_SSD_GROUP * SSD_CHUNK` rows.  Each group
+    starts from the SSM state and convolution tail the group before left,
+    passed on as graph nodes, so gradients cross group boundaries and,
+    without grad, only one group's temporaries are alive at a time.  An
+    input of one group runs the body once on x itself.
     """
     if x.shape[1] != params.d_model:
         raise ContractError(
             f"block width mismatch: input {x.shape[1]}, block {params.d_model}"
         )
-    if state is None:
-        state = init_state(params)
-    # allocated before the group temporaries: a small array that outlives
-    # the call, allocated after them, can land among their freed blocks and
-    # keep the allocator from returning that memory (peak RSS +6 MB at M=8192)
-    h_end, tail_end = np.empty_like(state.h), np.empty_like(state.conv_tail)
+    if x.shape[0] == 0:
+        raise ContractError("the block needs at least one row")
     a_neg = ng.mul(ng.exp(params.a_log), -1.0)
+    h, p, n = params.n_heads, params.head_dim, params.n_state
     # mamba2's chunks carry the state as [heads, n_state, head_dim]
-    mamba2 = params.variant == MAMBA2
-    s = Tensor(state.h.transpose(0, 2, 1) if mamba2 else state.h)
-    tail, oc = state.conv_tail, state.open_chunk
+    s = Tensor(np.zeros((h, n, p) if params.variant == MAMBA2 else (h, p, n)))
+    tail = np.zeros((CONV_WIDTH - 1, params.d_inner))
 
     T, size = x.shape[0], _SSD_GROUP * SSD_CHUNK
-    edges = [0, *range(size - state.position % size, T, size), T]
     ys = []
-    for lo, hi in zip(edges, edges[1:]):
-        rows = x if hi - lo == T else ng.slice_rows(x, lo, hi)
-        y, s, tail, oc = _block_rows(params, a_neg, rows, s, tail, oc, state.position + lo)
+    for lo in range(0, T, size):
+        rows = x if size >= T else ng.slice_rows(x, lo, min(lo + size, T))
+        y, s, tail = _block_rows(params, a_neg, rows, s, tail, lo)
         ys.append(y)
-    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
-
-    h_end[...] = s.data.transpose(0, 2, 1) if mamba2 else s.data
-    tail_end[...] = tail.data
-    return y, SSMState(h_end, tail_end, state.position + T, oc)
+    return ys[0] if len(ys) == 1 else ng.concat_rows(ys)

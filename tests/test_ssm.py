@@ -35,6 +35,45 @@ def make_params(variant, d_model=4, seed=0, out_std=0.3, **kw):
     return p
 
 
+def a_neg_of(p):
+    return ng.mul(ng.exp(p.a_log), -1.0)
+
+
+def sequential_in_pieces(p, x, cuts):
+    """`_sequential_rows` over x cut at `cuts`, each piece starting from the
+    state the piece before left, as the block hands it from group to group.
+    Returns (y, end state)."""
+    s, ys = Tensor(np.zeros((p.n_heads, p.head_dim, p.n_state))), []
+    edges = [0, *cuts, x.shape[0]]
+    for lo, hi in zip(edges, edges[1:]):
+        y, s = ssm._sequential_rows(p, a_neg_of(p), Tensor(x[lo:hi]), s, lo)
+        ys.append(y.data)
+    return np.concatenate(ys), s.data
+
+
+def block_in_pieces(p, x, cuts):
+    """`_block_rows` over x cut at `cuts`, each piece starting from the SSM
+    state and convolution tail the piece before left, as the block hands
+    them from group to group; no cuts runs one body over the whole stream."""
+    h, hd, n = p.n_heads, p.head_dim, p.n_state
+    s = Tensor(np.zeros((h, n, hd) if p.variant == MAMBA2 else (h, hd, n)))
+    tail, ys = np.zeros((ssm.CONV_WIDTH - 1, p.d_inner)), []
+    edges = [0, *cuts, x.shape[0]]
+    for lo, hi in zip(edges, edges[1:]):
+        y, s, tail = ssm._block_rows(p, a_neg_of(p), Tensor(x[lo:hi]), s, tail, lo)
+        ys.append(y.data)
+    return np.concatenate(ys)
+
+
+def assert_pieces_match(variant, cuts, y, y_full):
+    """Bit-exact where the pieces keep the chunk grid; mamba2 pieces cut
+    inside a chunk restart the grid, which groups the same sums otherwise."""
+    if variant == MAMBA1 or all(c % SSD_CHUNK == 0 for c in cuts):
+        assert np.array_equal(y, y_full)
+    else:
+        assert max_rel_diff(y, y_full) < 1e-12
+
+
 class TestZOH:
     def test_direct_evaluation(self):
         a_bar, b_bar = zoh_discretize(-1.0, 1.0, 0.1)
@@ -164,9 +203,8 @@ class TestScanSequential:
         p = make_params(variant, d_model=4, seed=1)
         x = Tensor(np.zeros((7, p.d_inner)))
         with ng.no_grad():
-            y, st = scan_sequential(p, x)
+            y = scan_sequential(p, x)
         assert np.array_equal(y.data, np.zeros((7, p.d_inner)))
-        assert np.array_equal(st.h, np.zeros_like(st.h))
 
     def test_single_step_hand_oracle(self):
         # 1 channel, n_state=2, T=1: y1 = C1 (A1_bar h0 + B1_bar x1) by hand.
@@ -186,10 +224,9 @@ class TestScanSequential:
         )
         x0 = 0.8
         h0 = np.array([[0.25, -0.4]])
-        state = ssm.init_state(p)
-        state.h = h0.reshape(1, 1, 2)
         with ng.no_grad():
-            y, st = scan_sequential(p, Tensor([[x0]]), state)
+            y, s = ssm._sequential_rows(p, a_neg_of(p), Tensor([[x0]]),
+                                        Tensor(h0.reshape(1, 1, 2)), 0)
 
         delta = math.log1p(math.exp(x0 * 0.4 + 0.2))
         b_t = np.array([0.9, -0.3]) * x0
@@ -199,7 +236,7 @@ class TestScanSequential:
             a_bar, b_bar = zoh_discretize(a[0, n], b_t[n], delta)
             h1[n] = a_bar * h0[0, n] + b_bar * x0
         assert abs(y.data[0, 0] - float(h1 @ c_t)) < 1e-12
-        assert np.allclose(st.h.reshape(2), h1, atol=1e-12)
+        assert np.allclose(s.data.reshape(2), h1, atol=1e-12)
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     def test_split_chaining_bit_exact(self, variant):
@@ -207,12 +244,11 @@ class TestScanSequential:
         rng = ng.new_rng(9)
         x = rng.standard_normal((8, p.d_inner))
         with ng.no_grad():
-            y_full, st_full = scan_sequential(p, Tensor(x))
-            y1, st1 = scan_sequential(p, Tensor(x[:3]))
-            y2, st2 = scan_sequential(p, Tensor(x[3:]), st1)
-        assert np.array_equal(np.concatenate([y1.data, y2.data]), y_full.data)
-        assert np.array_equal(st2.h, st_full.h)
-        assert st2.position == st_full.position == 8
+            y_full = scan_sequential(p, Tensor(x))
+            _, s_full = sequential_in_pieces(p, x, [])
+            y, s = sequential_in_pieces(p, x, [3])
+        assert np.array_equal(y, y_full.data)
+        assert np.array_equal(s, s_full)
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     def test_recorded_matches_streaming(self, variant):
@@ -220,10 +256,9 @@ class TestScanSequential:
         rng = ng.new_rng(11)
         x = rng.standard_normal((12, p.d_inner))
         with ng.no_grad():
-            y_stream, st_s = scan_sequential(p, Tensor(x))
-        y_rec, st_r = scan_sequential(p, Tensor(x, requires_grad=True))
+            y_stream = scan_sequential(p, Tensor(x))
+        y_rec = scan_sequential(p, Tensor(x, requires_grad=True))
         assert np.max(np.abs(y_stream.data - y_rec.data)) < 1e-14
-        assert np.max(np.abs(st_s.h - st_r.h)) < 1e-14
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     @pytest.mark.parametrize("seed", range(5))
@@ -234,11 +269,11 @@ class TestScanSequential:
         w = rng.standard_normal((5, p.d_inner))
 
         def f(t):
-            y, _ = scan_sequential(p, t)
+            y = scan_sequential(p, t)
             return ng.tsum(ng.mul(y, Tensor(w)))
 
         xt = Tensor(x0, requires_grad=True)
-        y, _ = scan_sequential(p, xt)
+        y = scan_sequential(p, xt)
         backward(ng.tsum(ng.mul(y, Tensor(w))))
         fd = finite_diff_grad(f, Tensor(x0))
         assert rel_err(xt.grad, fd) < 1e-4
@@ -249,11 +284,11 @@ class TestScanSequential:
         p = make_params(variant, d_model=4, seed=18)
         x = ng.new_rng(19).standard_normal((2 * SCAN_BLOCK + 5, p.d_inner))
         with ng.no_grad():
-            y_full, st_full = scan_sequential(p, Tensor(x))
-            y1, st1 = scan_sequential(p, Tensor(x[:cut]))
-            y2, st2 = scan_sequential(p, Tensor(x[cut:]), st1)
-        assert np.array_equal(np.concatenate([y1.data, y2.data]), y_full.data)
-        assert np.array_equal(st2.h, st_full.h)
+            y_full = scan_sequential(p, Tensor(x))
+            _, s_full = sequential_in_pieces(p, x, [])
+            y, s = sequential_in_pieces(p, x, [cut])
+        assert np.array_equal(y, y_full.data)
+        assert np.array_equal(s, s_full)
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     def test_gradients_across_scan_blocks_vs_finite_differences(self, variant):
@@ -268,7 +303,7 @@ class TestScanSequential:
         names = ["w_delta", "delta_bias", "w_b", "w_c", "a_log"]
 
         def loss(xt):
-            return ng.tsum(ng.mul(scan_sequential(p, xt)[0], w))
+            return ng.tsum(ng.mul(scan_sequential(p, xt), w))
 
         xt = Tensor(x0, requires_grad=True)
         backward(loss(xt))
@@ -311,9 +346,9 @@ class TestScanSequential:
         rng = ng.new_rng(12)
         x = rng.standard_normal((2048, p.d_inner))
         with ng.no_grad():
-            _, st = scan_sequential(p, Tensor(x))
-        assert np.all(np.isfinite(st.h))
-        assert np.max(np.abs(st.h)) < 1e4
+            y = scan_sequential(p, Tensor(x))
+        assert np.all(np.isfinite(y.data))
+        assert np.max(np.abs(y.data)) < 1e4
 
 
 class TestScanChunked:
@@ -333,7 +368,7 @@ class TestScanChunked:
         rng = ng.new_rng(21)
         x = rng.standard_normal((64, p.d_inner))
         with ng.no_grad():
-            y_seq, _ = scan_sequential(p, Tensor(x))
+            y_seq = scan_sequential(p, Tensor(x))
             y_chk = scan_chunked_ssd(p, Tensor(x), chunk)
         assert np.max(np.abs(y_seq.data - y_chk.data)) < 1e-8
 
@@ -342,7 +377,7 @@ class TestScanChunked:
         rng = ng.new_rng(22)
         x = rng.standard_normal((32, p.d_inner))
         with ng.no_grad():
-            y_seq, _ = scan_sequential(p, Tensor(x))
+            y_seq = scan_sequential(p, Tensor(x))
             y_chk = scan_chunked_ssd(p, Tensor(x), 32)
         assert np.max(np.abs(y_seq.data - y_chk.data)) < 1e-8
 
@@ -352,7 +387,7 @@ class TestScanChunked:
         rng = ng.new_rng(300 + seed)
         x = rng.standard_normal((64, p.d_inner))
         with ng.no_grad():
-            y_seq, _ = scan_sequential(p, Tensor(x))
+            y_seq = scan_sequential(p, Tensor(x))
             y_chk = scan_chunked_ssd(p, Tensor(x), 16)
         assert np.max(np.abs(y_seq.data - y_chk.data)) < 1e-8
 
@@ -364,7 +399,7 @@ class TestScanChunked:
         rng = ng.new_rng(98)
         x = Tensor(rng.standard_normal((512, p.d_inner)) * 3)
         with ng.no_grad():
-            y_seq, _ = scan_sequential(p, x)
+            y_seq = scan_sequential(p, x)
             y_chk = scan_chunked_ssd(p, x, 512)
         assert np.all(np.isfinite(y_chk.data))
         assert np.max(np.abs(y_seq.data - y_chk.data)) < 1e-8
@@ -484,7 +519,7 @@ class TestMambaBlock:
         rng = ng.new_rng(31)
         x = rng.standard_normal((6, 4))
         with ng.no_grad():
-            y, _ = mamba_block_forward(p, Tensor(x))
+            y = mamba_block_forward(p, Tensor(x))
         assert np.array_equal(y.data, x)
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
@@ -495,8 +530,8 @@ class TestMambaBlock:
         x2 = x.copy()
         x2[10] += 3.0
         with ng.no_grad():
-            y1, _ = mamba_block_forward(p, Tensor(x))
-            y2, _ = mamba_block_forward(p, Tensor(x2))
+            y1 = mamba_block_forward(p, Tensor(x))
+            y2 = mamba_block_forward(p, Tensor(x2))
         assert np.array_equal(y1.data[:10], y2.data[:10])
         assert not np.array_equal(y1.data[10:], y2.data[10:])
 
@@ -506,7 +541,7 @@ class TestMambaBlock:
         rng = ng.new_rng(33)
         x = rng.standard_normal((2, 1))
         with ng.no_grad():
-            y, _ = mamba_block_forward(p, Tensor(x))
+            y = mamba_block_forward(p, Tensor(x))
 
         def np_softplus(v):
             return np.logaddexp(0.0, v)
@@ -543,12 +578,9 @@ class TestMambaBlock:
         rng = ng.new_rng(34)
         x = rng.standard_normal((9, 4))
         with ng.no_grad():
-            y_full, st_full = mamba_block_forward(p, Tensor(x))
-            y1, st1 = mamba_block_forward(p, Tensor(x[:4]))
-            y2, st2 = mamba_block_forward(p, Tensor(x[4:]), st1)
-        assert np.array_equal(np.concatenate([y1.data, y2.data]), y_full.data)
-        assert np.array_equal(st2.h, st_full.h)
-        assert np.array_equal(st2.conv_tail, st_full.conv_tail)
+            y_full = mamba_block_forward(p, Tensor(x))
+            y = block_in_pieces(p, x, [4])
+        assert_pieces_match(variant, [4], y, y_full.data)
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     @pytest.mark.parametrize("seed", range(3))
@@ -559,11 +591,11 @@ class TestMambaBlock:
         w = rng.standard_normal((4, 2))
 
         def f(t):
-            y, _ = mamba_block_forward(p, t)
+            y = mamba_block_forward(p, t)
             return ng.tsum(ng.mul(y, Tensor(w)))
 
         xt = Tensor(x0, requires_grad=True)
-        y, _ = mamba_block_forward(p, xt)
+        y = mamba_block_forward(p, xt)
         backward(ng.tsum(ng.mul(y, Tensor(w))))
         fd = finite_diff_grad(f, Tensor(x0))
         assert rel_err(xt.grad, fd) < 1e-4
@@ -579,7 +611,7 @@ class TestMambaBlock:
         x = Tensor(rng.standard_normal((4, 2)))
         w = Tensor(rng.standard_normal((4, 2)))
 
-        y, _ = mamba_block_forward(p, x)
+        y = mamba_block_forward(p, x)
         backward(ng.tsum(ng.mul(y, w)))
 
         for name in ["w_in", "conv_w", "w_delta", "delta_bias", "w_b", "w_c",
@@ -591,7 +623,7 @@ class TestMambaBlock:
                 old = _param.data
                 _param.data = t.data
                 try:
-                    y2, _ = mamba_block_forward(p, x)
+                    y2 = mamba_block_forward(p, x)
                     return ng.tsum(ng.mul(y2, w))
                 finally:
                     _param.data = old
@@ -635,8 +667,8 @@ def max_rel_diff(a, ref):
 
 
 class TestChunkedBlockScan:
-    """The mamba2 block's chunked scan: chaining across chunk boundaries and
-    agreement with the sequential oracle."""
+    """The mamba2 block's chunked scan: the state handed across chunk and
+    group boundaries, and agreement with the sequential oracle."""
 
     T = 2 * SSD_CHUNK + 5
 
@@ -646,28 +678,20 @@ class TestChunkedBlockScan:
         p = make_params(variant, d_model=4, seed=12)
         x = ng.new_rng(36).standard_normal((self.T, 4))
         with ng.no_grad():
-            y_full, st_full = mamba_block_forward(p, Tensor(x))
-            y1, st1 = mamba_block_forward(p, Tensor(x[:cut]))
-            y2, st2 = mamba_block_forward(p, Tensor(x[cut:]), st1)
-        assert np.array_equal(np.concatenate([y1.data, y2.data]), y_full.data)
-        assert np.array_equal(st2.h, st_full.h)
-        assert np.array_equal(st2.conv_tail, st_full.conv_tail)
-        assert st2.position == st_full.position == self.T
+            y_full = mamba_block_forward(p, Tensor(x))
+            y = block_in_pieces(p, x, [cut])
+        assert_pieces_match(variant, [cut], y, y_full.data)
 
     def test_chaining_in_many_pieces(self):
-        # the open chunk is carried through several calls: one-row calls,
-        # calls that stay inside a chunk and calls that close one
+        # the state and the convolution tail pass through one-row pieces,
+        # pieces inside a chunk and pieces that close one
         p = make_params(MAMBA2, d_model=4, seed=13)
         x = ng.new_rng(37).standard_normal((self.T, 4))
-        cuts = [0, 1, 2, 9, SSD_CHUNK, SSD_CHUNK + 1, 100, self.T]
+        cuts = [1, 2, 9, SSD_CHUNK, SSD_CHUNK + 1, 100]
         with ng.no_grad():
-            y_full, st_full = mamba_block_forward(p, Tensor(x))
-            st, ys = None, []
-            for lo, hi in zip(cuts, cuts[1:]):
-                y, st = mamba_block_forward(p, Tensor(x[lo:hi]), st)
-                ys.append(y.data)
-        assert np.array_equal(np.concatenate(ys), y_full.data)
-        assert np.array_equal(st.h, st_full.h)
+            y_full = mamba_block_forward(p, Tensor(x))
+            y = block_in_pieces(p, x, cuts)
+        assert_pieces_match(MAMBA2, cuts, y, y_full.data)
 
     @staticmethod
     def _oracle_params():
@@ -679,61 +703,69 @@ class TestChunkedBlockScan:
 
     @pytest.mark.parametrize("carried", [False, True])
     def test_block_scan_matches_sequential_oracle(self, carried):
+        # every group after the first starts its scan from the state the
+        # group before left: both row scans from the same entry state, on
+        # values and on the gradients of the rows, the state and the weights
         p = self._oracle_params()
         rng = ng.new_rng(72)
-        prefix = Tensor(rng.standard_normal((70, p.d_inner)))
+        prefix = rng.standard_normal((70, p.d_inner))
         x0 = rng.standard_normal((self.T, p.d_inner))
         w = Tensor(rng.standard_normal((self.T, p.d_inner)))
-        st_seq, st_chk = None, ssm.init_state(p)
+        w_end = Tensor(rng.standard_normal((p.n_heads, p.head_dim, p.n_state)))
+        s0 = np.zeros((p.n_heads, p.head_dim, p.n_state))
         if carried:
             with ng.no_grad():
-                _, st_seq = scan_sequential(p, prefix)
-                _, st_chk = ssm._ssd_scan(p, prefix, ssm.init_state(p), SSD_CHUNK)
-            assert st_chk.open_chunk is not None
+                s0 = sequential_in_pieces(p, prefix, [])[1]
+
+        def seq(xt, st):
+            return ssm._sequential_rows(p, a_neg_of(p), xt, st, 70)
+
+        def chk(xt, st):
+            y, h = ssm._ssd_rows(p, a_neg_of(p), xt, ng.permute(st, (0, 2, 1)), 70, SSD_CHUNK)
+            return y, ng.permute(h, (0, 2, 1))
 
         with ng.no_grad():
-            y_seq, end_seq = scan_sequential(p, Tensor(x0), st_seq)
-            y_chk, end_chk = ssm._ssd_scan(p, Tensor(x0), st_chk, SSD_CHUNK)
+            y_seq, end_seq = seq(Tensor(x0), Tensor(s0))
+            y_chk, end_chk = chk(Tensor(x0), Tensor(s0))
         assert max_rel_diff(y_chk.data, y_seq.data) < 1e-12
-        assert max_rel_diff(end_chk.h, end_seq.h) < 1e-12
-        assert end_chk.position == end_seq.position
+        assert max_rel_diff(end_chk.data, end_seq.data) < 1e-12
 
         names = ["w_delta", "delta_bias", "w_b", "w_c", "a_log"]
 
         def grads(scan):
             for name in names:
                 getattr(p, name).grad = None
-            xt = Tensor(x0, requires_grad=True)
-            backward(ng.tsum(ng.mul(scan(xt), w)))
-            return [xt.grad] + [getattr(p, name).grad for name in names]
+            xt, st = Tensor(x0, requires_grad=True), Tensor(s0, requires_grad=True)
+            y, end = scan(xt, st)
+            backward(ng.add(ng.tsum(ng.mul(y, w)), ng.tsum(ng.mul(end, w_end))))
+            return [xt.grad, st.grad] + [getattr(p, name).grad for name in names]
 
-        g_seq = grads(lambda t: scan_sequential(p, t, st_seq)[0])
-        g_chk = grads(lambda t: ssm._ssd_scan(p, t, st_chk, SSD_CHUNK)[0])
-        for name, a, b in zip(["x"] + names, g_chk, g_seq):
+        for name, a, b in zip(["x", "state"] + names, grads(chk), grads(seq)):
             assert max_rel_diff(a, b) < 1e-12, name
 
     def test_chunk_groups_chain_values_and_gradients(self):
-        # a small chunk puts many chunks in one call, and a cut inside one:
-        # the state and its adjoint must pass from chunk to chunk
+        # a small chunk puts many chunks in one call: the state and its
+        # adjoint must pass from chunk to chunk, and from a call that ends
+        # on the chunk grid, as a group does, to the next
         chunk = 3
         T = 2 * ssm._SSD_GROUP * chunk + 5
         p = self._oracle_params()
         rng = ng.new_rng(73)
         x0 = rng.standard_normal((T, p.d_inner))
         w = Tensor(rng.standard_normal((T, p.d_inner)))
+        h0 = Tensor(np.zeros((p.n_heads, p.n_state, p.head_dim)))
         with ng.no_grad():
-            y_seq, end_seq = scan_sequential(p, Tensor(x0))
-            y_chk, end_chk = ssm._ssd_scan(p, Tensor(x0), ssm.init_state(p), chunk)
-            y1, mid = ssm._ssd_scan(p, Tensor(x0[:50]), ssm.init_state(p), chunk)
-            y2, end2 = ssm._ssd_scan(p, Tensor(x0[50:]), mid, chunk)
-        assert max_rel_diff(y_chk.data, y_seq.data) < 1e-12
-        assert max_rel_diff(end_chk.h, end_seq.h) < 1e-12
+            y_seq, end_seq = sequential_in_pieces(p, x0, [])
+            y_chk, end_chk = ssm._ssd_rows(p, a_neg_of(p), Tensor(x0), h0, 0, chunk)
+            y1, mid = ssm._ssd_rows(p, a_neg_of(p), Tensor(x0[:51]), h0, 0, chunk)
+            y2, end2 = ssm._ssd_rows(p, a_neg_of(p), Tensor(x0[51:]), mid, 51, chunk)
+        assert max_rel_diff(y_chk.data, y_seq) < 1e-12
+        assert max_rel_diff(end_chk.data.transpose(0, 2, 1), end_seq) < 1e-12
         assert np.array_equal(np.concatenate([y1.data, y2.data]), y_chk.data)
-        assert np.array_equal(end2.h, end_chk.h)
+        assert np.array_equal(end2.data, end_chk.data)
 
         grads = []
-        for scan in (lambda t: scan_sequential(p, t)[0],
-                     lambda t: ssm._ssd_scan(p, t, ssm.init_state(p), chunk)[0]):
+        for scan in (lambda t: scan_sequential(p, t), lambda t: scan_chunked_ssd(p, t, chunk)):
             p.a_log.grad = None
             xt = Tensor(x0, requires_grad=True)
             backward(ng.tsum(ng.mul(scan(xt), w)))
@@ -749,10 +781,6 @@ class TestChunkedBlockScan:
         p = make_params(MAMBA2, d_model=4, seed=0)
         x = ng.new_rng(0).standard_normal((100, p.d_inner))
         x[70] *= 1e200
-        st = ssm.init_state(p)
-        with ng.no_grad():
-            _, st = ssm._ssd_scan(p, Tensor(ng.new_rng(1).standard_normal((37, p.d_inner))),
-                                  st, SSD_CHUNK)
 
         def attempt(fn):
             if grad:
@@ -766,51 +794,53 @@ class TestChunkedBlockScan:
                 attempt(lambda t: scan_sequential(p, t))
             with pytest.raises(NumericError, match=r"at token 70$"):
                 attempt(lambda t: scan_chunked_ssd(p, t, 64))
-            with pytest.raises(NumericError, match=r"at token 107$"):
-                attempt(lambda t: ssm._ssd_scan(p, t, st, SSD_CHUNK))
-
-    def test_state_copy_is_deep(self):
-        p = make_params(MAMBA2, d_model=4, seed=17)
-        x = ng.new_rng(38).standard_normal((5, p.d_inner))
-        with ng.no_grad():
-            _, st = ssm._ssd_scan(p, Tensor(x), ssm.init_state(p), SSD_CHUNK)
-        cp = st.copy()
-        cp.open_chunk.da[0, 0] = 123.0
-        cp.open_chunk.h[0, 0, 0] = 123.0
-        assert st.open_chunk.da[0, 0] != 123.0 and st.open_chunk.h[0, 0, 0] != 123.0
 
 
 class TestBlockGroups:
-    """The block runs its body over groups of _SSD_GROUP * SSD_CHUNK rows
-    anchored at absolute positions, carrying the state from group to group."""
+    """The block runs its body over groups of _SSD_GROUP * SSD_CHUNK rows,
+    handing the state from group to group."""
 
     G = ssm._SSD_GROUP * SSD_CHUNK
 
-    def test_chaining_is_bit_exact_at_every_cut(self):
-        # products of more than 1953 rows round differently from shorter
-        # ones; anchored groups keep every product at most G rows long
-        T = 4 * self.G
-        p = make_params(MAMBA2, d_model=64, seed=18, out_std=0.02)
+    @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
+    def test_groups_match_one_body_over_the_whole_stream(self, variant):
+        # past 1953 rows the whole-stream delta projection rounds otherwise
+        T = 2 * self.G + 37
+        p = make_params(variant, d_model=64, seed=18, out_std=0.02)
         x = ng.new_rng(39).standard_normal((T, 64))
         with ng.no_grad():
-            y_full, st_full = mamba_block_forward(p, Tensor(x))
-            splits = [[0, cut, T] for cut in (self.G - 1, self.G, self.G + 1, 1000, 1953, 1954)]
-            splits.append(list(range(0, T, 100)) + [T])
-            for edges in splits:
-                st, ys = None, []
-                for lo, hi in zip(edges, edges[1:]):
-                    y, st = mamba_block_forward(p, Tensor(x[lo:hi]), st)
-                    ys.append(y.data)
-                assert np.array_equal(np.concatenate(ys), y_full.data), edges[:3]
-                assert np.array_equal(st.h, st_full.h), edges[:3]
-                assert np.array_equal(st.conv_tail, st_full.conv_tail), edges[:3]
-                assert st.position == T
+            y = mamba_block_forward(p, Tensor(x))
+            y_one = block_in_pieces(p, x, [])
+        assert max_rel_diff(y.data, y_one) < 1e-12
+
+    @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_bad_row_past_a_group_edge_names_its_token(self, variant, grad):
+        # one row near the float64 limit: its layer-norm sum overflows and
+        # the scan meets the bad value at row 70 of the second group, which
+        # must name its token in the stream
+        p = make_params(variant, d_model=4, seed=21)
+        x = ng.new_rng(41).standard_normal((self.G + 100, 4))
+        x[self.G + 70, :2] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"at token 1094$"):
+            if grad:
+                mamba_block_forward(p, Tensor(x, requires_grad=True))
+            else:
+                with ng.no_grad():
+                    mamba_block_forward(p, Tensor(x))
+
+    def test_empty_input_is_a_contract_error(self):
+        p = make_params(MAMBA2)
+        for run in (lambda: mamba_block_forward(p, Tensor(np.zeros((0, p.d_model)))),
+                    lambda: scan_sequential(p, Tensor(np.zeros((0, p.d_inner)))),
+                    lambda: scan_chunked_ssd(p, Tensor(np.zeros((0, p.d_inner))), SSD_CHUNK)):
+            with pytest.raises(ContractError):
+                run()
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     @pytest.mark.parametrize("prefix", [0, 500])
     def test_recorded_groups_match_directional_finite_differences(self, variant, prefix):
-        # a prefix of 500 rows moves the group edges off the call's start
-        # and leaves a chunk open
+        # a prefix of 500 rows before x moves the group edges off x's start
         p = make_params(variant, d_model=2, seed=19, out_std=0.3)
         rng = ng.new_rng(74)
         p.delta_bias = Tensor(np.log(np.expm1(rng.uniform(0.3, 0.9, p.n_delta))),
@@ -818,19 +848,20 @@ class TestBlockGroups:
         T = 2 * self.G + 37
         x0 = rng.standard_normal((T, 2))
         w = Tensor(rng.standard_normal((T, 2)))
-        state = None
-        if prefix:
-            with ng.no_grad():
-                _, state = mamba_block_forward(p, Tensor(rng.standard_normal((prefix, 2))))
+        head = Tensor(rng.standard_normal((prefix, 2)))
+
+        def forward(xt):
+            y = mamba_block_forward(p, ng.concat_rows([head, xt]) if prefix else xt)
+            return ng.slice_rows(y, prefix, prefix + T) if prefix else y
 
         def loss(xt):
-            return ng.tsum(ng.mul(mamba_block_forward(p, xt, state)[0], w))
+            return ng.tsum(ng.mul(forward(xt), w))
 
         xt = Tensor(x0, requires_grad=True)
-        y_rec, _ = mamba_block_forward(p, xt, state)
+        y_rec = forward(xt)
         backward(ng.tsum(ng.mul(y_rec, w)))
         with ng.no_grad():
-            y_ng, _ = mamba_block_forward(p, Tensor(x0), state)
+            y_ng = forward(Tensor(x0))
         assert np.array_equal(y_ng.data, y_rec.data)
 
         names = ["x", "w_in", "conv_w", "a_log", "w_out"]
