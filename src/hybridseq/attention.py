@@ -169,7 +169,8 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
     in tiles sized so that one [n_heads, rows, Lk] score tile holds at most
     SCORE_BUDGET values.  Columns past a tile's last allowed column are
     filled with -inf by slice, and only the [rows, last - first] band
-    between its first and last allowed column needs a boolean mask.  With
+    between its first and last allowed column needs a mask, which
+    `np.copyto` applies to every head through a broadcast `where`.  With
     `probs` ([n_heads, Lq, Lk]) the probabilities are computed in place
     there.  Raises NumericError naming `what` and the first query row whose
     output is not finite.
@@ -187,8 +188,8 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
         s *= scale
         s[:, :, last:] = -np.inf
         if first < last:
-            band = s[:, :, first:last]
-            band[:, np.arange(first, last)[None] > allowed[:, None]] = -np.inf
+            cols = np.arange(first, last)
+            np.copyto(s[:, :, first:last], -np.inf, where=cols[None] > allowed[:, None])
         s -= s.max(axis=2, keepdims=True)
         np.exp(s, out=s)
         s /= s.sum(axis=2, keepdims=True)

@@ -169,45 +169,55 @@ def _task(resolved: dict) -> tr.SyntheticTask:
     ).validate()
 
 
+GRID_MAX_POINTS = 1000  # the most sizes one grid spec may name
+
+
+def _grid_int(text: str) -> int:
+    """A positive count written in ASCII digits (no sign, no underscores)."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError
+    val = int(text)
+    if val <= 0:
+        raise ValueError
+    return val
+
+
 def parse_grid(spec: str) -> list[int]:
-    """Grid forms: '4096', '1,2,4', '1024:16384:x2', '64:256:+64'."""
+    """Grid forms: '4096', '1,2,4', '1024:16384:x2', '64:256:+64'.
+
+    Every number is written in ASCII digits.  A grid names at most
+    `GRID_MAX_POINTS` sizes; a range's point count is computed before its
+    list is built."""
     spec = spec.strip()
     try:
-        if ":" in spec:
+        if ":" not in spec:
+            grid = [_grid_int(v) for v in spec.split(",")]
+            points = len(grid)
+        else:
             start_s, stop_s, step_s = spec.split(":")
-            start, stop = int(start_s), int(stop_s)
-            if start <= 0 or stop < start or not step_s:
+            start, stop = _grid_int(start_s), _grid_int(stop_s)
+            if stop < start:
                 raise ValueError
-            out = []
-            cur = start
             if step_s.startswith("x"):
-                factor = int(step_s[1:])
+                factor = _grid_int(step_s[1:])
                 if factor < 2:
                     raise ValueError
-                while cur <= stop:
-                    out.append(cur)
-                    cur *= factor
+                points = 1
+                while points <= GRID_MAX_POINTS and start * factor**points <= stop:
+                    points += 1
+                grid = (start * factor**k for k in range(points))
             elif step_s.startswith("+"):
-                step = int(step_s[1:])
-                if step < 1:
-                    raise ValueError
-                while cur <= stop:
-                    out.append(cur)
-                    cur += step
+                step = _grid_int(step_s[1:])
+                points = (stop - start) // step + 1
+                grid = range(start, stop + 1, step)
             else:
                 raise ValueError
-            return out
-        if "," in spec:
-            vals = [int(v) for v in spec.split(",")]
-            if any(v <= 0 for v in vals):
-                raise ValueError
-            return vals
-        val = int(spec)
-        if val <= 0:
-            raise ValueError
-        return [val]
     except ValueError:
         raise UsageError(f"malformed grid spec {spec!r}; use START:STOP:xK, START:STOP:+K, or a comma list")
+    if points > GRID_MAX_POINTS:
+        raise UsageError(f"grid spec {spec!r} names more than {GRID_MAX_POINTS} sizes")
+    return list(grid)
 
 
 class UsageError(Exception):

@@ -108,17 +108,18 @@ def _ssd_scan_flops(m: int, d_inner: int, n_heads: int, n_state: int, chunk: int
 
 def _ssd_scan_values(m: int, d_inner: int, n_heads: int, n_state: int, chunk: int) -> float:
     """Values the chunked mamba2 scan keeps for its reverse pass over m rows
-    from a zero state: its inputs, each chunk's per-head decay matrices and
-    head-major tensors, and per chunk its contribution to the end state,
-    the boundary state and the chunk-start copy of it.  No per-step state
-    history is kept."""
+    from a zero state: its inputs, each chunk's C B^T and head-major
+    tensors, and per chunk its contribution to the end state, the boundary
+    state and the chunk-start copy of it.  No per-step state history is
+    kept, and no per-head decay matrix: the intra-chunk mix recomputes its
+    weights in its reverse pass."""
     h, n, q = n_heads, n_state, chunk
     k = -(-m // q)
     rows = k * q
     vals = m * (4.0 * h + 2 * n + d_inner)  # delta (three stages), dA, B, C, x*delta
     framed = int(rows > m)  # inputs padded to the chunk grid, y sliced back
     vals += framed * (rows * (h + 2.0 * n + d_inner) + m * d_inner)
-    vals += rows * (4.0 * h * q + 2 * q)  # decay matrices per head, masked C B^T
+    vals += rows * q  # C B^T
     vals += rows * (7.0 * d_inner + n + 6 * h)  # head-major copies, partial outputs
     vals += 3.0 * k * d_inner * n  # chunk contributions, boundary states, starts
     return vals

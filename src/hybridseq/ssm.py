@@ -29,6 +29,10 @@ Which scan runs where:
   without grad.  Both take the state the group before left and the
   group's offset in the stream, which a `NumericError` adds to the index
   of the first bad row to name its token.
+* Within a chunk the chunked core mixes the rows through one op,
+  `_decay_mix`, which builds the per-head decay-masked weights tile by
+  tile in one scratch of `_MIX_SCRATCH` values and recomputes them in its
+  reverse pass; a recorded call keeps no [chunks, heads, q, q] array.
 * `linear_recurrence` is the one hand-written recurrence (and VJP) in this
   module.  `scan_sequential` runs it over blocks of `SCAN_BLOCK` rows; the
   chunked core runs it to pass the state from chunk to chunk.
@@ -66,6 +70,7 @@ EXPAND = 2
 SSD_CHUNK = 64  # rows per chunk of the mamba2 block's scan
 SCAN_BLOCK = 64  # rows per block of the sequential scan
 _SSD_GROUP = 16  # chunks per row group of the block
+_MIX_SCRATCH = 1 << 16  # values in the scratch of the intra-chunk mix (512 KiB)
 
 
 # --------------------------------------------------------------------------
@@ -344,6 +349,83 @@ def scan_sequential(params: SSMParams, x: Tensor) -> Tensor:
     return _sequential_rows(params, a_neg, x, s0, 0)[0]
 
 
+def _decay_mix(cum: Tensor, cb: Tensor, xh: Tensor) -> Tensor:
+    """The intra-chunk mix y = (exp(L o (cum_t - cum_s)) o L o C B^T) xh as
+    one graph node, with L the causal (lower-triangle) mask.
+
+    Takes each chunk's inclusive cumulative log-decay cum [K, heads, q], its
+    scores C B^T [K, q, q] and x*delta xh [K, heads, q, head_dim].  The
+    diffs above the diagonal are positive and may overflow, so they are
+    zeroed before exp; the causal mask itself goes on the head-shared
+    scores.  The chunks are taken in tiles of `_MIX_SCRATCH // (heads q q)`
+    through one reused scratch, where the weights are built in place in the
+    order of the op composition (sub, mask, exp, times the masked scores),
+    so the output and the metered FLOPs equal the composition's.  The
+    reverse pass recomputes each tile's weights from the inputs (as
+    FlashAttention recomputes its tiles, arXiv 2205.14135), so a recorded
+    call keeps no [K, heads, q, q] array.
+    """
+    c, s, x = cum.data, cb.data, xh.data
+    K, hh, q = c.shape
+    tile = max(1, _MIX_SCRATCH // (hh * q * q))
+    lower = np.tril(np.ones((q, q)))
+
+    def scratch():
+        """Room for one tile's exp(L o diff), then its weights, and its L o C B^T."""
+        return np.empty((min(tile, K), hh, q, q)), np.empty((min(tile, K), 1, q, q))
+
+    def weights(lo, hi, e, m):
+        """exp(L o diff) and L o C B^T of the chunks lo..hi, built in e and m."""
+        e, m = e[: hi - lo], m[: hi - lo]
+        np.subtract(c[lo:hi, :, :, None], c[lo:hi, :, None, :], out=e)
+        e *= lower
+        np.exp(e, out=e)
+        np.multiply(s[lo:hi, None], lower, out=m)
+        return e, m
+
+    y = np.empty_like(x)
+    e_buf, m_buf = scratch()
+    for lo in range(0, K, tile):
+        hi = min(lo + tile, K)
+        w, m = weights(lo, hi, e_buf, m_buf)
+        w *= m
+        np.matmul(w, x[lo:hi], out=y[lo:hi])
+    qq = float(K) * q * q
+    ng.meter_add("sub", ng.FLOP_COST["sub"] * qq * hh)
+    ng.meter_add("mul", ng.FLOP_COST["mul"] * qq * (2 * hh + 1))
+    ng.meter_add("exp", ng.FLOP_COST["exp"] * qq * hh)
+    ng.meter_add("matmul", 2.0 * qq * hh * x.shape[3])
+
+    def vjp(g):
+        # per tile, with W = E o M: dxh = W^T g, dW = g xh^T, d(C B^T) =
+        # L o sum_heads(dW o E), and dcum_t = rowsum_t(dD) - colsum_t(dD)
+        # for dD = dW o M o E (M = L o C B^T is zero above the diagonal)
+        gc = np.empty_like(c) if cum.requires_grad else None
+        gs = np.empty_like(s) if cb.requires_grad else None
+        gx = np.empty_like(x) if xh.requires_grad else None
+        e_buf, m_buf = scratch()
+        gw, tmp = np.empty_like(e_buf), np.empty_like(e_buf)
+        for lo in range(0, K, tile):
+            hi = min(lo + tile, K)
+            e, m = weights(lo, hi, e_buf, m_buf)
+            dw = np.matmul(g[lo:hi], x[lo:hi].transpose(0, 1, 3, 2), out=gw[: hi - lo])
+            t = tmp[: hi - lo]
+            if gx is not None:
+                np.multiply(e, m, out=t)
+                np.matmul(t.transpose(0, 1, 3, 2), g[lo:hi], out=gx[lo:hi])
+            if gc is not None:
+                np.multiply(dw, m, out=t)
+                t *= e
+                np.subtract(t.sum(axis=3), t.sum(axis=2), out=gc[lo:hi])
+            if gs is not None:
+                dw *= e
+                np.sum(dw, axis=1, out=gs[lo:hi])
+                gs[lo:hi] *= lower
+        return gc, gs, gx
+
+    return ng.custom_op(y, (cum, cb, xh), vjp)
+
+
 def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: int):
     """Whole chunks of the scan, from the state h0 [heads, n_state, head_dim].
 
@@ -362,14 +444,7 @@ def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: in
     c_k = ng.reshape(c, (K, q, n))
     xh = ng.permute(ng.reshape(xdt, (K, q, hh, p)), (0, 2, 1, 3))  # [K, h, q, p]
 
-    # intra-chunk: decay(t, s) = exp(cum_t - cum_s) for s <= t.  The diffs
-    # above the diagonal are positive and may overflow, so they are zeroed
-    # before exp; the causal mask itself goes on the head-shared scores.
-    lower = np.tril(np.ones((q, q)))
-    diff = ng.sub(ng.reshape(cum, (K, hh, q, 1)), ng.reshape(cum, (K, hh, 1, q)))
-    scores = ng.mul(ng.bmatmul(c_k, b_t), lower)  # [K, q, q]
-    w = ng.mul(ng.exp(ng.mul(diff, lower)), ng.reshape(scores, (K, 1, q, q)))
-    y = ng.bmatmul(w, xh)
+    y = _decay_mix(cum, ng.bmatmul(c_k, b_t), xh)  # intra-chunk
 
     # chunk boundaries: each chunk's own contribution to its end state,
     # S_k = sum_s exp(total - cum_s) B_s (x dt)_s, kept as [K, h, n, p];

@@ -464,6 +464,26 @@ class TestAttendCore:
                                                           allowed, "test"),
                             lambda a, b: mha_tape(p, a, [b], allowed), q, keys)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_band_mask_equals_the_boolean_index_form(self, seed):
+        # the kernel masks the band with np.copyto(where=); the boolean
+        # fancy-index assignment it replaced must give the same bits
+        rng = ng.new_rng(160 + seed)
+        nh, lq, lk, dh = 3, 9, 14, 4
+        qh, kh, vh = (rng.standard_normal((nh, n, dh)) for n in (lq, lk, lk))
+        allowed = rng.integers(2, lk, size=lq)
+        assert np.any(np.diff(allowed) < 0)
+        s = np.matmul(qh, kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
+        first, last = int(allowed.min()) + 1, int(allowed.max()) + 1
+        s[:, :, last:] = -np.inf
+        band = s[:, :, first:last]
+        band[:, np.arange(first, last)[None] > allowed[:, None]] = -np.inf
+        s = np.exp(s - s.max(axis=2, keepdims=True))
+        s /= s.sum(axis=2, keepdims=True)
+        ref = np.matmul(s, vh).transpose(1, 0, 2).reshape(lq, nh * dh)
+        out = attn_mod._attend(qh, kh.transpose(0, 2, 1), vh, allowed, "test")
+        assert np.array_equal(out, ref)
+
     @pytest.mark.parametrize("perturbed", [2 * TILE, TILE + 2])
     def test_prefix_invariance_across_tiles(self, monkeypatch, perturbed):
         # the perturbed row lies in a later tile than the checked rows, or

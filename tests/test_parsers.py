@@ -3,12 +3,12 @@ config files and serialized bench reports.
 
 No example database is kept (`database=None`); hypothesis still caches
 the constants it reads from the source under `.hypothesis/constants`,
-which git ignores.  The grids stay small, so a parse never builds a long
-list.
+which git ignores.  Specs are drawn at any length: `parse_grid` bounds a
+grid's point count before it builds the list.
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybridseq import cli
@@ -52,12 +52,24 @@ def test_valid_grid_specs_give_their_grid(case):
     assert parse_grid(spec) == grid
 
 
-# at most 10 characters: the longest additive grid is "1:99999:+1"
-near_specs = st.text(alphabet="0123456789,:x+- ", max_size=10)
+def test_grid_length_is_bounded_before_the_list_is_built():
+    top = cli.GRID_MAX_POINTS
+    assert parse_grid(f"1:{top}:+1") == list(range(1, top + 1))
+    assert len(parse_grid(f"1:{2 ** (top - 1)}:x2")) == top
+    for spec in (f"1:{top + 1}:+1", "1:" + "9" * 4000 + ":+1", f"1:{2 ** top}:x2",
+                 ",".join(["1"] * (top + 1))):
+        with pytest.raises(UsageError, match="more than"):
+            parse_grid(spec)
+
+
+near_specs = st.text(alphabet="0123456789,:x+- ")
 
 
 @PROPERTY
-@given(spec=st.one_of(st.text(max_size=10), near_specs))
+@given(spec=st.one_of(st.text(), near_specs))
+@example(spec="1:2000000:+1")  # past GRID_MAX_POINTS
+@example(spec="1_000")  # int() reads the underscore, the grammar does not
+@example(spec="\u0663")  # an Arabic-Indic digit three
 def test_any_other_grid_spec_exits_2_without_a_traceback(spec, tmp_path, capsys):
     try:
         grid = parse_grid(spec)

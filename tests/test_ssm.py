@@ -419,6 +419,106 @@ class TestScanChunked:
         assert rel_err(xt.grad, fd) < 1e-4
 
 
+def decay_mix_by_ops(cum, cb, xh):
+    """The intra-chunk mix as the op composition `ssm._decay_mix` replaces:
+    the oracle for its output, its metered FLOPs and its gradients."""
+    K, hh, q = cum.shape
+    lower = np.tril(np.ones((q, q)))
+    diff = ng.sub(ng.reshape(cum, (K, hh, q, 1)), ng.reshape(cum, (K, hh, 1, q)))
+    scores = ng.mul(cb, lower)
+    w = ng.mul(ng.exp(ng.mul(diff, lower)), ng.reshape(scores, (K, 1, q, q)))
+    return ng.bmatmul(w, xh)
+
+
+def mix_inputs(K, q, seed, hh=4, p=3, grad=False):
+    """cum (a decreasing cumulative log-decay per chunk), C B^T and xh."""
+    rng = ng.new_rng(seed)
+    cum = -np.cumsum(rng.uniform(0.01, 0.5, (K, hh, q)), axis=2)
+    cb = rng.standard_normal((K, q, q))
+    xh = rng.standard_normal((K, hh, q, p))
+    return [Tensor(a, requires_grad=grad) for a in (cum, cb, xh)]
+
+
+def mix_tile(q, hh=4):
+    return max(1, ssm._MIX_SCRATCH // (hh * q * q))
+
+
+class TestDecayMix:
+    """`ssm._decay_mix`, the chunks' decay-masked mix as one tiled op,
+    against the op composition it replaced."""
+
+    @pytest.mark.parametrize("q", [2, 16, 64])
+    @pytest.mark.parametrize("dk", [-1, 0, 1])
+    def test_forward_and_meter_equal_the_op_composition(self, q, dk):
+        K = mix_tile(q) + dk
+        ins = mix_inputs(K, q, seed=q + dk)
+        with ng.no_grad(), ng.count_flops() as m_op:
+            y = ssm._decay_mix(*ins)
+        with ng.no_grad(), ng.count_flops() as m_ref:
+            ref = decay_mix_by_ops(*ins)
+        assert np.array_equal(y.data, ref.data)
+        assert m_op.by_kind == m_ref.by_kind
+
+    @pytest.mark.parametrize("T", [5 * SSD_CHUNK - 17, 5 * SSD_CHUNK])
+    def test_scan_with_the_op_equals_the_scan_with_the_composition(self, monkeypatch, T):
+        # 5 chunks is one more than a tile; the shorter stream pads its last
+        # chunk with zero rows
+        p = make_params(MAMBA2, d_model=64, seed=30)
+        x = ng.new_rng(31).standard_normal((T, p.d_inner))
+        with ng.no_grad():
+            y = scan_chunked_ssd(p, Tensor(x), SSD_CHUNK)
+            monkeypatch.setattr(ssm, "_decay_mix", decay_mix_by_ops)
+            ref = scan_chunked_ssd(p, Tensor(x), SSD_CHUNK)
+        assert np.array_equal(y.data, ref.data)
+
+    @pytest.mark.parametrize("q,dk", [(16, -1), (16, 1), (64, 1)])
+    def test_gradients_equal_the_op_composition(self, q, dk):
+        K = mix_tile(q) + dk
+        g = ng.new_rng(40 + q).standard_normal((K, 4, q, 3))
+        grads = []
+        for f in (ssm._decay_mix, decay_mix_by_ops):
+            ins = mix_inputs(K, q, seed=41, grad=True)
+            backward(ng.tsum(ng.mul(f(*ins), Tensor(g))))
+            grads.append([t.grad for t in ins])
+        for got, ref in zip(*grads):
+            assert max_rel_diff(got, ref) < 1e-12
+
+    def test_gradients_vs_finite_differences(self, monkeypatch):
+        # three chunks in tiles of two
+        monkeypatch.setattr(ssm, "_MIX_SCRATCH", 2 * 2 * 4 * 4)
+        ins = mix_inputs(3, 4, seed=42, hh=2, p=2, grad=True)
+        g = Tensor(ng.new_rng(43).standard_normal((3, 2, 4, 2)))
+        backward(ng.tsum(ng.mul(ssm._decay_mix(*ins), g)))
+        for i, t in enumerate(ins):
+            def f(probe, i=i):
+                args = [probe if j == i else Tensor(a.data) for j, a in enumerate(ins)]
+                return ng.tsum(ng.mul(ssm._decay_mix(*args), g))
+
+            assert rel_err(t.grad, finite_diff_grad(f, Tensor(t.data))) < 1e-6
+
+    def test_vjp_returns_none_for_operands_without_grad(self):
+        ins = mix_inputs(3, 4, seed=44)
+        ins[1] = Tensor(ins[1].data, requires_grad=True)
+        y = ssm._decay_mix(*ins)
+        gc, gs, gx = y._vjp(np.ones(y.shape))
+        assert gc is None and gx is None and gs.shape == ins[1].shape
+
+    def test_recorded_call_keeps_no_per_head_weights(self):
+        # one tile and a bit: a kept [K, heads, q, q] array, or a kept tile
+        # of one, would show next to y
+        q, hh = SSD_CHUNK, 4
+        K = mix_tile(q) + 1
+        ins = mix_inputs(K, q, seed=45, grad=True)
+        tracemalloc.start()
+        try:
+            y = ssm._decay_mix(*ins)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        weights = 8 * K * hh * q * q
+        assert kept - y.data.nbytes < weights / 8, f"kept {kept} B beside y, weights {weights} B"
+
+
 def conv_by_ops(params, xz, tail):
     """The causal convolution as a composition of graph ops: prepend the
     tail, slice each tap, multiply, then sum ((t0 + t1) + t2) + t3."""
@@ -512,6 +612,21 @@ class TestMambaBlock:
             finally:
                 tracemalloc.stop()
         assert peak < 9 * 8192 * p.d_inner * 8
+
+    def test_no_grad_group_peak_keeps_no_per_head_weights(self):
+        # one full group: the op composition of the intra-chunk mix peaked
+        # at 17.3 MB here, the tiled op at 12.7 MB; the bound sits 1.8 MB
+        # above the op and 2.8 MB below the composition
+        p = make_params(MAMBA2, d_model=64, seed=20, out_std=0.02)
+        x = Tensor(ng.new_rng(40).standard_normal((ssm._SSD_GROUP * SSD_CHUNK, 64)))
+        with ng.no_grad():
+            tracemalloc.start()
+            try:
+                mamba_block_forward(p, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 14.5 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     def test_zero_out_projection_is_identity(self, variant):
