@@ -27,7 +27,6 @@ from hybridseq.attention import (
     cross_attention_scores,
     init_attention_params,
     init_cross_from_self,
-    joint_causal_attention_text,
     joint_text_scores,
 )
 from hybridseq.numerics import Tensor
@@ -96,11 +95,12 @@ for m_probe in (256, 512, 1024, 2048):
     print(f"M={m_probe:5d}: {meter.total:10.0f} FLOPs (blended)")
 
 # %%
-# The blend reproduces the joint path's reach (all video, causal text) at
-# matching cost for the text rows; both slices scale linearly here.
+# The baseline's text rows reach as far (all video, causal text), but they
+# come out of one causal attention over the whole [video; text] stream, so
+# the video rows' queries ride along and the bill is quadratic in M.
 
 for m_probe in (256, 512, 1024, 2048):
     vid = Tensor(rng.standard_normal((m_probe, d)))
     with ng.no_grad(), ng.count_flops() as meter:
-        joint_causal_attention_text(params_s, vid, text_cost)
-    print(f"M={m_probe:5d}: {meter.total:10.0f} FLOPs (joint causal, text rows)")
+        causal_self_attention(params_s, ng.concat_rows([vid, text_cost]))
+    print(f"M={m_probe:5d}: {meter.total:10.0f} FLOPs (joint causal stream)")

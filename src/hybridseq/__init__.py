@@ -30,7 +30,6 @@ from .attention import (
     cross_attention,
     init_attention_params,
     init_cross_from_self,
-    joint_causal_attention_text,
 )
 from .model import (
     ARCH_BASELINE,

@@ -1,11 +1,11 @@
 """Attention paths: causal self-attention, cross-attention, and the blend.
 
-Three text-update routes live here:
+Two text-update routes live here:
 
 * `causal_self_attention` -- multi-head scaled dot-product over one stream
   with a strict causal mask (each position sees itself and its prefix).
-* `joint_causal_attention_text` -- the baseline-decoder text path: text
-  token j attends over all video tokens plus text tokens 1..j.
+  The baseline runs it over the whole video-first stream, so text token j
+  attends over all video tokens plus text tokens 1..j.
 * `blended_text_update` -- the hybrid text path: a convex combination,
   weighted by a scalar blend weight, of full cross-attention onto the video
   tokens and causal self-attention among the text tokens.
@@ -15,6 +15,11 @@ fresh cross-attention one; immediately after the copy the cross pre-softmax
 scores coincide bit-for-bit with the video columns of the joint path's
 score matrix (the two paths then diverge only through their softmax
 normalization sets).
+
+Keys and values come from one projection, `_projected`, whether an op
+projects them itself (training) or reads them from a cache: the video
+cache (`build_video_kv_cache`) and the self caches that `model` grows
+from `key_value_heads`.  Attention only reads a cache; it never grows one.
 
 Every op runs one kernel, `_attend`, with gradients on or off: training,
 prefill, cross-attention and both decode branches.  It takes query rows in
@@ -43,10 +48,10 @@ __all__ = [
     "init_attention_params",
     "init_cross_from_self",
     "causal_self_attention",
-    "joint_causal_attention_text",
     "cross_attention",
     "blended_text_update",
     "build_video_kv_cache",
+    "key_value_heads",
     "cross_attention_scores",
     "joint_text_scores",
 ]
@@ -248,10 +253,9 @@ def _mha(params, q_x: Tensor, kv, allowed_upto: np.ndarray, what: str) -> Tensor
     return ng.matmul(out, params.w_o)
 
 
-def _projected(params, key_blocks) -> tuple[Tensor, Tensor]:
-    """Keys and values of the concatenated key blocks, [Lk, d] each."""
-    keys = key_blocks[0] if len(key_blocks) == 1 else ng.concat_rows(key_blocks)
-    return ng.matmul(keys, params.w_k), ng.matmul(keys, params.w_v)
+def _projected(params, x: Tensor) -> tuple[Tensor, Tensor]:
+    """The keys and values of rows x, [L, d] each."""
+    return ng.matmul(x, params.w_k), ng.matmul(x, params.w_v)
 
 
 # --------------------------------------------------------------------------
@@ -259,58 +263,35 @@ def _projected(params, key_blocks) -> tuple[Tensor, Tensor]:
 # --------------------------------------------------------------------------
 
 
-def causal_self_attention(params: AttentionParams, x: Tensor,
-                          kv_sink: list | None = None, past=None) -> Tensor:
+def causal_self_attention(params: AttentionParams, x: Tensor, cache=None) -> Tensor:
     """Multi-head causal self-attention over x [L, d]; position i attends
     to positions 1..i, scaled by 1/sqrt(head_dim).
 
-    `kv_sink` (a list) receives the keys and values the call projects, as
-    one (k, v) pair of [n_heads, L, head_dim] arrays; this is how prefill
-    fills its decode caches without projecting twice.
-
-    With `past`, a key/value cache of the positions before x's (decode),
-    `past.extended(k, v)` appends x's keys and values, each row attends over
-    the grown cache's `text_k` / `text_v` up to itself, and `kv_sink`
-    receives the grown cache instead of the pair."""
+    Without `cache` the call projects x's keys and values itself.  With a
+    cache whose last L rows are x's keys and values (`text_k` / `text_v`,
+    [n_heads, n, head_dim], as prefill and decode grow them), each row of x
+    attends over the cache up to itself, and nothing is projected."""
     _check_width(params, x, "input")
     if x.shape[0] < 1:
         raise ContractError("causal_self_attention: need at least one position")
-    k, v = _projected(params, [x])
-    heads = (_heads(k.data, params.n_heads), _heads(v.data, params.n_heads))
-    start = 0
-    if past is not None:
-        grown = past.extended(*heads)
-        k, v = grown.text_k, grown.text_v  # every cached row, x's rows last
-        start = k.shape[1] - x.shape[0]
-    if kv_sink is not None:
-        kv_sink.append(heads if past is None else grown)
-    return _mha(params, x, (k, v), start + np.arange(x.shape[0]), "causal self-attention")
+    if cache is None:
+        kv, start = _projected(params, x), 0
+    else:
+        kv, start = (cache.text_k, cache.text_v), cache.n - x.shape[0]
+    return _mha(params, x, kv, start + np.arange(x.shape[0]), "causal self-attention")
 
 
-def joint_causal_attention_text(
-    params: AttentionParams, video: Tensor, text: Tensor
-) -> Tensor:
-    """Baseline text path: text token j attends over [all video; text 1..j]."""
-    _check_width(params, text, "text")
-    if text.shape[0] < 1:
-        raise ContractError("joint attention: need at least one text token")
-    m = video.shape[0]
-    if m == 0:
-        return causal_self_attention(params, text)
-    _check_width(params, video, "video")
-    allowed = m + np.arange(text.shape[0])
-    return _mha(params, text, _projected(params, [video, text]), allowed, "joint attention")
+def key_value_heads(params: AttentionParams, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and values of rows x as [n_heads, L, head_dim] views."""
+    k, v = _projected(params, x)
+    return _heads(k.data, params.n_heads), _heads(v.data, params.n_heads)
 
 
 def build_video_kv_cache(params_c: AttentionParams, video: Tensor) -> VideoKVCache:
     """Project video tokens once; the cache serves the prefill's cross branch
-    and every later decode step.  Meters the two projections, which
-    `cross_attention` does not repeat when it reads a cache."""
+    and every later decode step, which read it without projecting again."""
     _check_width(params_c, video, "video")
-    nh, d = params_c.n_heads, params_c.d
-    k = _heads(video.data @ params_c.w_k.data, nh)
-    v = _heads(video.data @ params_c.w_v.data, nh)
-    ng.meter_add("matmul", 2.0 * 2 * video.shape[0] * d * d)
+    k, v = key_value_heads(params_c, video)
     return VideoKVCache(k=np.ascontiguousarray(k), v=np.ascontiguousarray(v))
 
 
@@ -332,7 +313,7 @@ def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
                 "cross_attention: no video tokens; text-only sequences bypass the cross branch"
             )
         _check_width(params_c, video, "video")
-        kv, m = _projected(params_c, [video]), video.shape[0]
+        kv, m = _projected(params_c, video), video.shape[0]
     return _mha(params_c, text_q, kv, np.full(text_q.shape[0], m - 1), "cross-attention")
 
 
@@ -342,21 +323,20 @@ def blended_text_update(
     alpha,
     video: Tensor,
     text: Tensor,
-    kv_sink: list | None = None,
-    past=None,
+    cache=None,
 ) -> Tensor:
     """Hybrid text update: (1 - alpha) * cross-attention + alpha * causal
     self-attention, with one scalar blend weight shared by the layer.
 
-    `video` is a [M, d] tensor or a VideoKVCache; `kv_sink` and `past` go
-    to the self branch (see `causal_self_attention`)."""
+    `video` is a [M, d] tensor or a VideoKVCache; `cache` goes to the self
+    branch (see `causal_self_attention`)."""
     m = video.m if isinstance(video, VideoKVCache) else video.shape[0]
     if m < 1:
         raise ContractError("blended_text_update requires at least one video token")
     if text.shape[0] < 1:
         raise ContractError("blended_text_update requires at least one text token")
     cross = cross_attention(params_c, text, video)
-    self_o = causal_self_attention(params_s, text, kv_sink, past)
+    self_o = causal_self_attention(params_s, text, cache)
     one_minus = ng.sub(1.0, alpha)
     return ng.add(ng.mul(one_minus, cross), ng.mul(alpha, self_o))
 

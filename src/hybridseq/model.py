@@ -415,31 +415,39 @@ def _mlp_forward(mlp: MLPParams, x: Tensor) -> Tensor:
     return ng.add(ng.matmul(ng.gelu(h), mlp.w2), mlp.b2)
 
 
-def _text_half(layer: Layer, x: Tensor, video=None, cache_sink: list | None = None,
-               past: LayerCache | None = None) -> Tensor:
+def _text_half(layer: Layer, x: Tensor, video=None,
+               past: LayerCache | None = None) -> tuple[Tensor, LayerCache | None]:
     """The text half of a layer, for training, prefill and decode alike:
     pre-norm, the self branch, with `video` (normed video rows or a
     VideoKVCache) the cross branch and the blend, residual; then norm, MLP
     and residual.  On a baseline every row of the stream takes this path.
 
-    With `past` (decode, where `video` is `past.video_kv`), x's rows follow
-    the positions `past` caches, and the self branch attends over those too.
-    `cache_sink` (gradients off) receives the layer's `LayerCache`: the self
-    branch's keys/values, after `past`'s rows."""
-    kv = [] if cache_sink is not None else None
+    With `past` (gradients off; empty in prefill), x's rows follow the
+    positions `past` caches: their keys and values extend it, and the self
+    branch attends over the grown cache.  Returns the rows and the grown
+    cache (None without `past`)."""
     x_ln = ng.layer_norm(x, layer.attn_norm.gain, layer.attn_norm.bias)
+    cache = None if past is None else past.extended(*attn.key_value_heads(layer.self_attn, x_ln))
     if video is not None:
         alpha = ng.sigmoid(layer.self_attn.alpha_raw)
         mid = ng.add(x, attn.blended_text_update(layer.self_attn, layer.cross_attn, alpha,
-                                                 video, x_ln, kv, past))
+                                                 video, x_ln, cache))
     else:
         # text-only stream or baseline: pure causal self-attention
-        mid = ng.add(x, attn.causal_self_attention(layer.self_attn, x_ln, kv, past))
-    if kv is not None:
-        n = x.shape[0]
-        cache_sink.append(kv[0] if past is not None else LayerCache(video, TextRows(*kv[0], n), n))
+        mid = ng.add(x, attn.causal_self_attention(layer.self_attn, x_ln, cache))
     return ng.add(mid, _mlp_forward(layer.mlp, ng.layer_norm(mid, layer.mlp_norm.gain,
-                                                            layer.mlp_norm.bias)))
+                                                            layer.mlp_norm.bias))), cache
+
+
+def _prompt_text_half(layer: Layer, x: Tensor, video, cache_sink: list | None) -> Tensor:
+    """`_text_half` over a prompt's rows; with `cache_sink` they grow an
+    empty `LayerCache` holding `video`, which the sink receives."""
+    if cache_sink is None:
+        return _text_half(layer, x, video)[0]
+    none = np.empty((layer.self_attn.n_heads, 0, layer.self_attn.head_dim))
+    out, cache = _text_half(layer, x, video, LayerCache(video, TextRows(none, none, 0), 0))
+    cache_sink.append(cache)
+    return out
 
 
 def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
@@ -454,12 +462,12 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
     With `cache_sink` (a list, gradients off) the layer appends its
     `LayerCache`: the video keys/values, built once from the normed video
     rows and read by the cross branch, and the text keys/values the self
-    branch projects.  Nothing is projected twice.
+    branch reads.  Nothing is projected twice.
     """
     m, n = seq.m, seq.n
     x = seq.embeddings
     if m == 0:
-        return TokenSequence(_text_half(layer, x, None, cache_sink), seq.roles)
+        return TokenSequence(_prompt_text_half(layer, x, None, cache_sink), seq.roles)
     x_v = ng.slice_rows(x, 0, m)
     video = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
     if cache_sink is not None:
@@ -468,7 +476,7 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
         # from returning that memory
         video = attn.build_video_kv_cache(layer.cross_attn, video)
     v_out = x_v if layer.mamba is None else ssm_mod.mamba_block_forward(layer.mamba, x_v)
-    t_out = _text_half(layer, ng.slice_rows(x, m, m + n), video, cache_sink)
+    t_out = _prompt_text_half(layer, ng.slice_rows(x, m, m + n), video, cache_sink)
     return TokenSequence(ng.concat_rows([v_out, t_out]), seq.roles)
 
 
@@ -480,7 +488,7 @@ def baseline_layer_forward(layer: Layer, seq: TokenSequence,
     attention over video 1..i and text token j attention over all video
     plus text 1..j.  With `cache_sink` (gradients off) the layer appends its
     `LayerCache`: the keys/values of the joint stream."""
-    return TokenSequence(_text_half(layer, seq.embeddings, None, cache_sink), seq.roles)
+    return TokenSequence(_prompt_text_half(layer, seq.embeddings, None, cache_sink), seq.roles)
 
 
 def forward_hidden(model: Model, seq: TokenSequence,
@@ -552,13 +560,14 @@ class LayerCache:
 
         The rows go into the shared buffer when the buffer has room and no
         other context has written past row n; otherwise the n rows move to
-        a new buffer of twice the size (or n + r, if larger).  So appending
-        costs O(1) amortized, and branches from one context never see each
-        other's rows.
+        a new buffer with room for twice the n + r rows it then holds.  So
+        appending costs O(1) amortized, the steps after a prefill write into
+        the buffer the prefill filled, and branches from one context never
+        see each other's rows.
         """
         rows, n, end = self.rows, self.n, self.n + k_new.shape[1]
         if rows.filled != n or end > rows.k.shape[1]:
-            k = np.empty((rows.k.shape[0], max(2 * n, end), rows.k.shape[2]))
+            k = np.empty((rows.k.shape[0], 2 * end, rows.k.shape[2]))
             v = np.empty_like(k)
             k[:, :n] = rows.k[:, :n]
             v[:, :n] = rows.v[:, :n]
@@ -584,10 +593,10 @@ class DecodeContext:
 def prefill(model: Model, seq: TokenSequence):
     """Forward over the whole prompt; returns (last-position logits, context).
 
-    The layers run once, with a cache sink: each appends the video
-    key/value cache its cross branch read and the keys/values its self
-    branch projected (text rows on the hybrid, the joint stream on the
-    baseline), so the context costs no second pass.  Runs without graph
+    The layers run once, with a cache sink: each appends its `LayerCache`,
+    the video key/value cache its cross branch read and the self cache its
+    text half grew from empty (text rows on the hybrid, the joint stream on
+    the baseline), so the context costs no second pass.  Runs without graph
     recording; the head runs on the last row only."""
     m, n = seq.m, seq.n
     caches: list[LayerCache] = []
@@ -610,7 +619,8 @@ def decode_step(model: Model, ctx: DecodeContext, token_embedding):
     with ng.no_grad():
         x = ng.reshape(token_embedding, (1, model.config.d))
         for layer, past in zip(model.layers, ctx.caches):
-            x = _text_half(layer, x, past.video_kv, caches, past)
+            x, cache = _text_half(layer, x, past.video_kv, past)
+            caches.append(cache)
         logits = _head(model, x)
     return logits.data[0], DecodeContext(n_text=ctx.n_text + 1, caches=caches)
 

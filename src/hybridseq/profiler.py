@@ -236,7 +236,8 @@ class CostModel:
         return total
 
     def memory_values(self, m: int, n: int) -> float:
-        """Live float64 activation values with reverse-pass retention.
+        """Live float64 activation values with reverse-pass retention: what
+        the graph of a recorded `text_logits` keeps, from the token ids on.
 
         The quadratic culprit is retained per layer: the probability matrix
         of every head, which attention keeps for its reverse pass (its
@@ -250,14 +251,21 @@ class CostModel:
         """
         d, h = self.d, self.n_heads
         r = m + n
-        vals = float(r * d)  # embeddings
+        # a text-half row (every row on the baseline): two norms (output,
+        # normalized input, 1/std), two residuals, the MLP's four [ff] arrays
+        # (product, biased, GELU, its kept Phi) and two [d] outputs, and the
+        # self branch's q, k, v, merged heads and output product
+        row = 13.0 * d + 4 * self.mlp_ratio * d + 2
+        # token rows (joined after the video), head rows, final norm, logits
+        vals = n * (4.0 * d + 1 + self.vocab_size) + (r * d if m else 0)
         if self.architecture == ARCH_BASELINE:
-            per_layer = 1.0 * h * r * r  # probabilities, all heads
-            per_layer += 6.0 * r * d  # ln, qkv, attention output
-            per_layer += 2.0 * r * self.mlp_ratio * d + 2.0 * r * d
-            return vals + self.layers * per_layer
-        per_layer = 1.0 * h * m * n + 1.0 * h * n * n  # cross + self probabilities
-        per_layer += 6.0 * n * d + 2.0 * n * self.mlp_ratio * d + 2.0 * n * d
+            return vals + self.layers * (1.0 * h * r * r + r * row)
+        per_layer = 1.0 * h * n * n + n * row
+        if m > 0:
+            # cross probabilities; a text row's slice, cross q, merged heads,
+            # output product and the blend's three arrays; a video row's
+            # slice, norm, cross key and value; the joined output
+            per_layer += 1.0 * h * m * n + 7.0 * n * d + m * (5.0 * d + 1) + r * d
         if self.block_variant != BLOCK_NONE:
             per_layer += _mamba_block_values(m, d, self.block_variant, self.n_heads_ssm,
                                              self.n_state)

@@ -364,9 +364,10 @@ def train(
 ) -> list[dict]:
     """Gradient descent on the synthetic task; returns one record per step.
 
-    Deterministic given (model, cfg.seed, task.seed): instance seeds derive
-    arithmetically from them and no wall-clock enters the records.  The
-    stage's frozen parameters are not differentiable during the call."""
+    Deterministic given (model, cfg, task): instance seeds derive from
+    task.seed alone (cfg.seed is not read) and no wall-clock enters the
+    records.  The stage's frozen parameters are not differentiable during
+    the call."""
     cfg.validate()
     task.validate()
     if cfg.lam > 0 and teacher is None:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from hybridseq.attention import (
     cross_attention_scores,
     init_attention_params,
     init_cross_from_self,
-    joint_causal_attention_text,
     joint_text_scores,
 )
 from hybridseq.numerics import ContractError, NumericError, Tensor, backward, finite_diff_grad
@@ -69,6 +69,15 @@ def mha_tape(params, q_x, key_blocks, allowed_upto):
         head_outs.append(ng.matmul(probs, v_h))
     merged = head_outs[0] if len(head_outs) == 1 else ng.concat_cols(head_outs)
     return ng.matmul(merged, params.w_o)
+
+
+def joint_text_rows(params, video, text):
+    """The baseline's text path: causal self-attention over the video-first
+    joint stream, read at its text rows, so text token j attends over all
+    video tokens plus text tokens 1..j."""
+    m = video.shape[0]
+    out = causal_self_attention(params, ng.concat_rows([video, text]))
+    return ng.slice_rows(out, m, m + text.shape[0])
 
 
 def kernel_against_tape(p, run, oracle, *arrays):
@@ -143,16 +152,35 @@ class TestCausalSelfAttention:
         kernel_against_tape(p, lambda t: causal_self_attention(p, t),
                             lambda t: mha_tape(p, t, [t], np.arange(10)), x)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_cache_of_earlier_rows_matches_the_whole_stream(self, rows):
+        # a cache whose last rows are x's keys and values: x's rows attend
+        # over it up to themselves, as in one call over the whole stream
+        p = make_params(seed=6, d=8, n_heads=2)
+        x = Tensor(ng.new_rng(7).standard_normal((10, 8)))
+        k, v = attn_mod.key_value_heads(p, x)
+        cache = SimpleNamespace(text_k=k, text_v=v, n=10)
+        with ng.no_grad():
+            whole = causal_self_attention(p, x)
+            with ng.count_flops() as meter:
+                tail = causal_self_attention(p, ng.slice_rows(x, 10 - rows, 10), cache)
+        assert np.max(np.abs(tail.data - whole.data[-rows:])) < 1e-13
+        # no key or value projection: the query and output products, the kernel
+        assert meter.total == _attention_flops(rows, 10, 8, 2) - 2 * 2 * 10 * 8 * 8
+
 
 class TestJointCausalAttentionText:
     def test_m0_equals_self_attention(self):
         p = make_params(seed=7)
         rng = ng.new_rng(8)
-        text = rng.standard_normal((5, 4))
+        text = Tensor(rng.standard_normal((5, 4)))
+        video = Tensor(np.zeros((0, 4)))
         with ng.no_grad():
-            joint = joint_causal_attention_text(p, Tensor(np.zeros((0, 4))), Tensor(text))
-            self_o = causal_self_attention(p, Tensor(text))
+            joint = joint_text_rows(p, video, text)
+            self_o = causal_self_attention(p, text)
+            taped = mha_tape(p, text, [video, text], np.arange(5))
         assert np.array_equal(joint.data, self_o.data)
+        assert np.max(np.abs(joint.data - taped.data)) < 1e-13
 
     def test_zero_text_key_closed_form(self):
         # one text token whose key is zero: mass splits by softmax over the
@@ -162,9 +190,7 @@ class TestJointCausalAttentionText:
         video = rng.standard_normal((2, 4))
         p.w_k.data[:] = np.eye(4)  # keys = raw tokens
         with ng.no_grad():
-            out = joint_causal_attention_text(
-                p, Tensor(video), Tensor(np.zeros((1, 4)))
-            )
+            out = joint_text_rows(p, Tensor(video), Tensor(np.zeros((1, 4))))
         q = np.zeros((1, 4)) @ p.w_q.data
         logits = np.concatenate([(q @ video.T)[0], [0.0]]) / 2.0  # sqrt(d)=2
         w = np.exp(logits - logits.max())
@@ -181,14 +207,14 @@ class TestJointCausalAttentionText:
         t_perturbed = text.copy()
         t_perturbed[2] -= 1.5
         with ng.no_grad():
-            y1 = joint_causal_attention_text(p, Tensor(video), Tensor(text))
-            y2 = joint_causal_attention_text(p, Tensor(video), Tensor(t_perturbed))
+            y1 = joint_text_rows(p, Tensor(video), Tensor(text))
+            y2 = joint_text_rows(p, Tensor(video), Tensor(t_perturbed))
         assert np.array_equal(y1.data[:2], y2.data[:2])
 
         v_perturbed = video.copy()
         v_perturbed[5] += 2.0  # last video token is visible to every text token
         with ng.no_grad():
-            y3 = joint_causal_attention_text(p, Tensor(v_perturbed), Tensor(text))
+            y3 = joint_text_rows(p, Tensor(v_perturbed), Tensor(text))
         assert np.all(np.any(y3.data != y1.data, axis=1))
 
 
@@ -317,12 +343,14 @@ class TestWeightTransfer:
         # with no video tokens the baseline joint path degenerates to causal
         # self-attention, which equals the blend's alpha=1 endpoint.
         ps = make_params(seed=63)
+        pc = init_cross_from_self(ps)
         rng = ng.new_rng(64)
         text = Tensor(rng.standard_normal((4, 4)))
+        video = Tensor(rng.standard_normal((3, 4)))
         with ng.no_grad():
-            joint = joint_causal_attention_text(ps, Tensor(np.zeros((0, 4))), text)
-            self_o = causal_self_attention(ps, text)
-        assert np.array_equal(joint.data, self_o.data)
+            joint = joint_text_rows(ps, Tensor(np.zeros((0, 4))), text)
+            blend = blended_text_update(ps, pc, 1.0, video, text)
+        assert np.array_equal(joint.data, blend.data)
 
 
 GRAD_CASES = ["self", "joint", "cross", "blend"]
@@ -342,7 +370,7 @@ def test_gradients_vs_finite_differences(path, seed):
         if path == "self":
             return causal_self_attention(ps, text_t)
         if path == "joint":
-            return joint_causal_attention_text(ps, video_t, text_t)
+            return joint_text_rows(ps, video_t, text_t)
         if path == "cross":
             return cross_attention(pc, text_t, video_t)
         alpha = ng.sigmoid(ps.alpha_raw)
@@ -436,7 +464,7 @@ class TestAttendCore:
         force_tile(monkeypatch, 2, m + lq)
         rng = ng.new_rng(143)
         video, text = rng.standard_normal((m, 8)), rng.standard_normal((lq, 8))
-        kernel_against_tape(p, lambda v, t: joint_causal_attention_text(p, v, t),
+        kernel_against_tape(p, lambda v, t: joint_text_rows(p, v, t),
                             lambda v, t: mha_tape(p, t, [v, t], m + np.arange(lq)),
                             video, text)
 
@@ -460,7 +488,7 @@ class TestAttendCore:
         q, keys = rng.standard_normal((lq, 8)), rng.standard_normal((lk, 8))
         allowed = rng.integers(0, lk, size=lq)
         assert np.any(np.diff(allowed) < 0)
-        kernel_against_tape(p, lambda a, b: attn_mod._mha(p, a, attn_mod._projected(p, [b]),
+        kernel_against_tape(p, lambda a, b: attn_mod._mha(p, a, attn_mod._projected(p, b),
                                                           allowed, "test"),
                             lambda a, b: mha_tape(p, a, [b], allowed), q, keys)
 
@@ -519,7 +547,7 @@ class TestAttendCore:
         with ng.no_grad():
             inline = cross_attention(p, Tensor(x_ln[-1:]), Tensor(x_ln))
             causal_last = attn_mod._mha(p, Tensor(x_ln[-1:]),
-                                        attn_mod._projected(p, [Tensor(x_ln)]),
+                                        attn_mod._projected(p, Tensor(x_ln)),
                                         np.array([29]), "test")
             branch = attn_mod._mha(p, Tensor(x_ln[-1:]), (cache.k, cache.v),
                                    np.array([29]), "test")
@@ -537,17 +565,18 @@ class TestAttendCore:
             if path == "self":
                 causal_self_attention(p, text)
             elif path == "joint":
-                joint_causal_attention_text(p, video, text)
+                joint_text_rows(p, video, text)
             else:
                 cross_attention(p, text, video)
-        lk = {"self": n, "joint": m + n, "cross": m}[path]
-        assert meter.total == _attention_flops(n, lk, d, h)
+        # the joint stream's video rows are queries too
+        lq, lk = {"self": (n, n), "joint": (m + n, m + n), "cross": (n, m)}[path]
+        assert meter.total == _attention_flops(lq, lk, d, h)
 
     @pytest.mark.parametrize("path", ["self", "joint", "cross"])
     def test_one_recorded_call_adds_a_fixed_number_of_nodes(self, path):
         # three projections, the attention op and the output projection
-        # (plus the key concatenation of the joint path), whatever the
-        # number of heads or rows
+        # (plus the joint path's stream concatenation and text-row slice),
+        # whatever the number of heads or rows
         counts = []
         for h, n in ((2, 3), (4, 9)):
             p = make_params(seed=170, d=8, n_heads=h)
@@ -557,11 +586,11 @@ class TestAttendCore:
             if path == "self":
                 out = causal_self_attention(p, text)
             elif path == "joint":
-                out = joint_causal_attention_text(p, video, text)
+                out = joint_text_rows(p, video, text)
             else:
                 out = cross_attention(p, text, video)
             counts.append(sum(t._vjp is not None for t in ng.GradTape(out).nodes))
-        assert counts == [6 if path == "joint" else 5] * 2
+        assert counts == [7 if path == "joint" else 5] * 2
 
     def test_cached_keys_and_values_are_constants_under_grad(self):
         # a cache's head arrays: the same output as the projected rows, and

@@ -139,21 +139,28 @@ class TestLayerForwards:
         assert out.embeddings.shape == (6, cfg.d)
 
     def test_baseline_joint_mask_matches_blockwise_oracle(self):
-        # the layer's single causal attention must agree with computing the
-        # text rows through the explicit joint video+text path
-        from hybridseq import attention as attn
-
+        # the layer's single causal attention must agree, at the text rows,
+        # with scoring each text query against the video block and the
+        # causal text block separately, head by head
         cfg = small_config(arch=ARCH_BASELINE)
         model = build_model(cfg, seed=9)
         layer = model.layers[0]
         seq = random_sequence(model, m=5, n=4, seed=10)
         with ng.no_grad():
             x_ln = ng.layer_norm(seq.embeddings, layer.attn_norm.gain, layer.attn_norm.bias)
-            joint = attn.causal_self_attention(layer.self_attn, x_ln)
-            text_only = attn.joint_causal_attention_text(
-                layer.self_attn, ng.slice_rows(x_ln, 0, 5), ng.slice_rows(x_ln, 5, 9)
-            )
-        assert np.max(np.abs(joint.data[5:] - text_only.data)) < 1e-12
+            joint = attn_mod.causal_self_attention(layer.self_attn, x_ln)
+        sa, x = layer.self_attn, x_ln.data
+        q, k, v = (x @ w.data for w in (sa.w_q, sa.w_k, sa.w_v))
+        heads = []
+        for lo in range(0, cfg.d, sa.head_dim):
+            cols = slice(lo, lo + sa.head_dim)
+            video = q[5:, cols] @ k[:5, cols].T
+            text = np.where(np.tri(4, dtype=bool), q[5:, cols] @ k[5:, cols].T, -np.inf)
+            s = np.concatenate([video, text], axis=1) / math.sqrt(sa.head_dim)
+            w = np.exp(s - s.max(axis=1, keepdims=True))
+            heads.append((w / w.sum(axis=1, keepdims=True)) @ v[:, cols])
+        text_rows = np.concatenate(heads, axis=1) @ sa.w_o.data
+        assert np.max(np.abs(joint.data[5:] - text_rows)) < 1e-12
 
     def test_baseline_zero_weights_identity(self):
         cfg = small_config(arch=ARCH_BASELINE)
@@ -402,6 +409,23 @@ class TestPrefillWritesCaches:
         got, want = ctx.caches[0], fresh.caches[0]
         assert np.array_equal(got.text_k[:, -1], want.text_k[:, -1])
         assert np.array_equal(got.text_v[:, -1], want.text_v[:, -1])
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_first_decode_step_writes_into_the_prefill_buffer(self, arch):
+        # prefill grows its caches from empty with the rule decode uses, so
+        # its buffers have room and the first step copies no cached row
+        model = build_model(small_config(arch=arch), seed=86)
+        m, n = 5, 3
+        _, ctx = prefill(model, random_sequence(model, m=m, n=n, seed=87))
+        rows = n if arch == ARCH_HYBRID else m + n
+        seen = [(c.text_k.copy(), c.text_v.copy()) for c in ctx.caches]
+        _, nxt = decode_step(model, ctx, model.token_table.data[2])
+        for (k, v), old, new in zip(seen, ctx.caches, nxt.caches):
+            assert old.n == rows and old.rows.k.shape[1] == 2 * rows
+            assert new.rows is old.rows and new.n == rows + 1 == new.rows.filled
+            assert np.shares_memory(new.text_k, old.text_k)
+            assert np.array_equal(new.text_k[:, :rows], k)
+            assert np.array_equal(new.text_v[:, :rows], v)
 
     def test_greedy_skips_the_unread_last_decode_step(self, monkeypatch):
         model = build_model(small_config(), seed=80, mamba_out_std=0.2)

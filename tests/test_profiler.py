@@ -180,15 +180,36 @@ class TestMemoryEstimate:
         assert (vals - quad) / quad < 0.01  # linear remainder is negligible here
 
     def test_hybrid_cross_term_coefficient(self):
-        # with no scan block, the M coefficient is layers*heads*N, the cross
-        # probabilities (+ d for the embedding rows themselves)
+        # with no scan block, the M coefficient per layer is heads*N, the
+        # cross probabilities, plus what each video row keeps: its slice,
+        # its norm (output, normalized input, 1/std), its cross key and
+        # value, and its row of the joined output; and d for the joined
+        # embedding rows themselves
         d, layers, h, n = 64, 2, 4, 64
         kw = dict(d=d, layers=layers, n_heads=h, block_variant="none")
         m1, m2 = 4096, 8192
         v1 = memory_estimate(ARCH_HYBRID, m1, n, **kw)
         v2 = memory_estimate(ARCH_HYBRID, m2, n, **kw)
         coeff = (v2 - v1) / (m2 - m1)
-        assert coeff == layers * h * n + d
+        assert coeff == layers * (h * n + 6 * d + 1) + d
+
+    @pytest.mark.parametrize("arch,block", [(ARCH_BASELINE, "none"), (ARCH_HYBRID, "mamba2"),
+                                            (ARCH_HYBRID, "none")])
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_estimate_matches_what_a_recorded_forward_keeps(self, arch, block, m):
+        # from the token ids to the logits, every term the graph keeps
+        model = build(arch, block=block)
+        rng = ng.new_rng(0)
+        video, ids = rng.standard_normal((m, 64)), rng.integers(0, 256, 64)
+        tracemalloc.start()
+        try:
+            out = mod.text_logits(model, mod.make_sequence(model, video, ids))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del out
+        ratio = 8 * memory_estimate(model, m, 64) / kept
+        assert 0.95 < ratio < 1.05, ratio
 
     def test_ratio_below_half_at_desk_point(self):
         hyb = memory_estimate(ARCH_HYBRID, 8192, 64, d=64, layers=2, n_heads=4)
@@ -342,15 +363,17 @@ class TestScanMemory:
 
     @pytest.mark.parametrize("m", [256, 1024])
     def test_estimate_tracks_recorded_forward(self, m):
-        # the estimate counts the retained activations only, so it sits below
-        # the measured peak, by the same margin on both architectures
+        # the estimate counts the retained activations only, from the token
+        # ids on, so it sits below the measured peak, by the same margin on
+        # both architectures
         ratios = {}
         for arch in (ARCH_HYBRID, ARCH_BASELINE):
             model = build(arch)
-            seq = pf._sequence_for(model, m, 64)
+            rng = ng.new_rng(0)
+            video, ids = rng.standard_normal((m, 64)), rng.integers(0, 256, 64)
             tracemalloc.start()
             try:
-                out = mod.text_logits(model, seq)
+                out = mod.text_logits(model, mod.make_sequence(model, video, ids))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
