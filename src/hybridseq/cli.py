@@ -127,14 +127,25 @@ def resolve_config(args: argparse.Namespace, flag_map: dict[str, str]) -> dict[s
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
             resolved["seed"] = env_seed
+    _to_int(resolved, "seed", least=0)  # numpy's generators take no negative seed
     return resolved
 
 
-def _to_int(resolved: dict, key: str) -> int:
+def _to_int(resolved: dict, key: str, least: int | None = None) -> int:
     try:
-        return int(resolved[key])
+        val = int(resolved[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key}={resolved[key]!r} is not an integer") from exc
+    if least is not None and val < least:
+        raise ConfigError(f"config key {key}={resolved[key]!r} is below {least}")
+    return val
+
+
+def _to_bool(resolved: dict, key: str) -> bool:
+    val = resolved[key]
+    if val not in ("0", "1", "false", "False", "true", "True"):
+        raise ConfigError(f"config key {key}={val!r} is not one of 0, 1, false, true")
+    return val in ("1", "true", "True")
 
 
 def _to_float(resolved: dict, key: str) -> float:
@@ -155,7 +166,7 @@ def _model_config(resolved: dict, arch: str | None = None) -> HybridStackConfig:
         vocab_size=_to_int(resolved, "vocab"),
         architecture=arch or resolved["arch"],
         block_variant=block,
-        ca_from_sa=resolved["ca_from_sa"] not in ("0", "false", "False"),
+        ca_from_sa=_to_bool(resolved, "ca_from_sa"),
     ).validate()
 
 
@@ -274,6 +285,7 @@ def cmd_train(args) -> int:
     started = time.time()
     out_dir = _prepare_out(resolved)
     seed = _to_int(resolved, "seed")
+    eval_n = _to_int(resolved, "eval_instances", least=1)
 
     cfg = tr.TrainConfig(
         stage=resolved["stage"],
@@ -312,7 +324,7 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(model, ckpt_path)
 
-    acc, loss = tr.evaluate(model, task, n_instances=_to_int(resolved, "eval_instances"))
+    acc, loss = tr.evaluate(model, task, n_instances=eval_n)
     manifest = _write_manifest(
         out_dir, "train", resolved,
         {"checkpoint": ckpt_path, "train_log": log_path},
@@ -335,11 +347,11 @@ def cmd_eval(args) -> int:
         raise UsageError("eval requires --ckpt CHECKPOINT")
     started = time.time()
     out_dir = _prepare_out(resolved)
+    eval_n = _to_int(resolved, "eval_instances", least=1)
     model = load_checkpoint(resolved["ckpt"])
     task = _task(resolved)
-    acc, loss = tr.evaluate(model, task, n_instances=_to_int(resolved, "eval_instances"))
-    results = {"accuracy": acc, "mean_loss": loss,
-               "n_instances": _to_int(resolved, "eval_instances")}
+    acc, loss = tr.evaluate(model, task, n_instances=eval_n)
+    results = {"accuracy": acc, "mean_loss": loss, "n_instances": eval_n}
     results_path = os.path.join(out_dir, "eval.json")
     with open(results_path, "w") as f:
         json.dump(results, f, indent=2, sort_keys=True)
@@ -452,7 +464,7 @@ def cmd_sweep(args) -> int:
     steps = _to_int(resolved, "steps")
     batch = _to_int(resolved, "batch")
     lr = _to_float(resolved, "lr")
-    eval_n = _to_int(resolved, "eval_instances")
+    eval_n = _to_int(resolved, "eval_instances", least=1)
 
     # one shared task-pretrained baseline: the init source and teacher
     base_cfg = _model_config(resolved, arch=ARCH_BASELINE)

@@ -24,6 +24,7 @@ context and leaving the one it was given unchanged.
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import struct
@@ -235,6 +236,24 @@ def _init_mlp(rng, d: int, ratio: int) -> MLPParams:
     )
 
 
+def _hybrid_parts(rng, config: HybridStackConfig, self_attn: AttentionParams,
+                  mamba_out_std: float):
+    """A hybrid layer's cross-attention and state-space block, drawn from rng
+    in that order: the cross-attention is copied from `self_attn` when
+    `ca_from_sa` is set, and the block is None when there is none."""
+    if config.ca_from_sa:
+        cross = attn.init_cross_from_self(self_attn)
+    else:
+        cross = attn.init_attention_params(rng, config.d, config.n_heads)
+    mamba = None
+    if config.block_variant != BLOCK_NONE:
+        mamba = ssm_mod.init_ssm_params(
+            rng, config.d, config.block_variant, n_state=config.n_state,
+            out_init_std=mamba_out_std,
+        )
+    return cross, mamba
+
+
 def build_model(config: HybridStackConfig, seed: int = 0, mamba_out_std: float = 0.0) -> Model:
     """Randomly initialized model; all parameters require gradients."""
     config.validate()
@@ -243,18 +262,9 @@ def build_model(config: HybridStackConfig, seed: int = 0, mamba_out_std: float =
     layers = []
     for _ in range(config.n_layers):
         self_attn = attn.init_attention_params(rng, d, config.n_heads)
-        cross = None
-        mamba = None
+        cross = mamba = None
         if config.architecture == ARCH_HYBRID:
-            if config.ca_from_sa:
-                cross = attn.init_cross_from_self(self_attn)
-            else:
-                cross = attn.init_attention_params(rng, d, config.n_heads)
-            if config.block_variant != BLOCK_NONE:
-                mamba = ssm_mod.init_ssm_params(
-                    rng, d, config.block_variant, n_state=config.n_state,
-                    out_init_std=mamba_out_std,
-                )
+            cross, mamba = _hybrid_parts(rng, config, self_attn, mamba_out_std)
         layers.append(
             Layer(
                 attn_norm=_norm(d),
@@ -278,10 +288,10 @@ def hybrid_from_baseline(
 ) -> Model:
     """Graft the hybrid architecture onto a pretrained baseline.
 
-    Every baseline-inherited parameter (embeddings, self-attention, MLPs,
-    norms) is copied; the new cross-attention layers are either transferred
-    from the corresponding self-attention weights or drawn fresh, and the
-    state-space blocks are always fresh.
+    The baseline is copied, so every inherited parameter (embeddings,
+    self-attention, MLPs, norms) starts from its values with no gradient;
+    each layer then gains a cross-attention, transferred from its
+    self-attention weights or drawn fresh, and a fresh state-space block.
     """
     if baseline.config.architecture != ARCH_BASELINE:
         raise ConfigError("hybrid_from_baseline needs a transformer_baseline source")
@@ -292,47 +302,14 @@ def hybrid_from_baseline(
         if getattr(config, f) != getattr(baseline.config, f):
             raise ConfigError(f"baseline and hybrid configs disagree on {f}")
 
+    model = copy.deepcopy(baseline)
+    for t in named_parameters(model).values():
+        t.requires_grad, t.grad = True, None
     rng = ng.new_rng(seed)
-
-    def cp(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy(), requires_grad=True)
-
-    def cp_attn(p: AttentionParams) -> AttentionParams:
-        return AttentionParams(
-            w_q=cp(p.w_q), w_k=cp(p.w_k), w_v=cp(p.w_v), w_o=cp(p.w_o),
-            n_heads=p.n_heads, alpha_raw=cp(p.alpha_raw),
-        )
-
-    layers = []
-    for src in baseline.layers:
-        self_attn = cp_attn(src.self_attn)
-        if config.ca_from_sa:
-            cross = attn.init_cross_from_self(self_attn)
-        else:
-            cross = attn.init_attention_params(rng, config.d, config.n_heads)
-        mamba = None
-        if config.block_variant != BLOCK_NONE:
-            mamba = ssm_mod.init_ssm_params(
-                rng, config.d, config.block_variant, n_state=config.n_state,
-                out_init_std=mamba_out_std,
-            )
-        layers.append(
-            Layer(
-                attn_norm=NormParams(cp(src.attn_norm.gain), cp(src.attn_norm.bias)),
-                self_attn=self_attn,
-                mlp_norm=NormParams(cp(src.mlp_norm.gain), cp(src.mlp_norm.bias)),
-                mlp=MLPParams(cp(src.mlp.w1), cp(src.mlp.b1), cp(src.mlp.w2), cp(src.mlp.b2)),
-                cross_attn=cross,
-                mamba=mamba,
-            )
-        )
-    return Model(
-        config=config,
-        token_table=cp(baseline.token_table),
-        layers=layers,
-        final_norm=NormParams(cp(baseline.final_norm.gain), cp(baseline.final_norm.bias)),
-        init_seed=seed,
-    )
+    for layer in model.layers:
+        layer.cross_attn, layer.mamba = _hybrid_parts(rng, config, layer.self_attn, mamba_out_std)
+    model.config, model.init_seed = config, seed
+    return model
 
 
 def make_sequence(model: Model, video: np.ndarray | None, text_ids) -> TokenSequence:

@@ -30,9 +30,10 @@ Which scan runs where:
   group's offset in the stream, which a `NumericError` adds to the index
   of the first bad row to name its token.
 * Within a chunk the chunked core mixes the rows through one op,
-  `_decay_mix`, which builds the per-head decay-masked weights tile by
-  tile in one scratch of `_MIX_SCRATCH` values and recomputes them in its
-  reverse pass; a recorded call keeps no [chunks, heads, q, q] array.
+  `_decay_mix`, which builds the per-head decay-masked weights of every
+  chunk it is given in one pass (in the block, the `_SSD_GROUP` chunks of
+  one group) and recomputes them in its reverse pass; a recorded call
+  keeps no [chunks, heads, q, q] array.  The row group is the only tile.
 * `linear_recurrence` is the one hand-written recurrence (and VJP) in this
   module.  `scan_sequential` runs it over blocks of `SCAN_BLOCK` rows; the
   chunked core runs it to pass the state from chunk to chunk.
@@ -69,8 +70,7 @@ CONV_WIDTH = 4
 EXPAND = 2
 SSD_CHUNK = 64  # rows per chunk of the mamba2 block's scan
 SCAN_BLOCK = 64  # rows per block of the sequential scan
-_SSD_GROUP = 16  # chunks per row group of the block
-_MIX_SCRATCH = 1 << 16  # values in the scratch of the intra-chunk mix (512 KiB)
+_SSD_GROUP = 4  # chunks per row group of the block
 
 
 # --------------------------------------------------------------------------
@@ -357,39 +357,27 @@ def _decay_mix(cum: Tensor, cb: Tensor, xh: Tensor) -> Tensor:
     scores C B^T [K, q, q] and x*delta xh [K, heads, q, head_dim].  The
     diffs above the diagonal are positive and may overflow, so they are
     zeroed before exp; the causal mask itself goes on the head-shared
-    scores.  The chunks are taken in tiles of `_MIX_SCRATCH // (heads q q)`
-    through one reused scratch, where the weights are built in place in the
-    order of the op composition (sub, mask, exp, times the masked scores),
-    so the output and the metered FLOPs equal the composition's.  The
-    reverse pass recomputes each tile's weights from the inputs (as
-    FlashAttention recomputes its tiles, arXiv 2205.14135), so a recorded
-    call keeps no [K, heads, q, q] array.
+    scores.  The weights of all K chunks are built in one pass, in place in
+    the order of the op composition (sub, mask, exp, times the masked
+    scores), so the output and the metered FLOPs equal the composition's;
+    the block's row groups bound K.  The reverse pass recomputes the weights
+    from the inputs (as FlashAttention recomputes its tiles, arXiv
+    2205.14135), so a recorded call keeps no [K, heads, q, q] array.
     """
     c, s, x = cum.data, cb.data, xh.data
     K, hh, q = c.shape
-    tile = max(1, _MIX_SCRATCH // (hh * q * q))
     lower = np.tril(np.ones((q, q)))
 
-    def scratch():
-        """Room for one tile's exp(L o diff), then its weights, and its L o C B^T."""
-        return np.empty((min(tile, K), hh, q, q)), np.empty((min(tile, K), 1, q, q))
-
-    def weights(lo, hi, e, m):
-        """exp(L o diff) and L o C B^T of the chunks lo..hi, built in e and m."""
-        e, m = e[: hi - lo], m[: hi - lo]
-        np.subtract(c[lo:hi, :, :, None], c[lo:hi, :, None, :], out=e)
+    def weights():
+        """exp(L o diff) [K, heads, q, q] and L o C B^T [K, 1, q, q]."""
+        e = np.subtract(c[:, :, :, None], c[:, :, None, :])
         e *= lower
         np.exp(e, out=e)
-        np.multiply(s[lo:hi, None], lower, out=m)
-        return e, m
+        return e, np.multiply(s[:, None], lower)
 
-    y = np.empty_like(x)
-    e_buf, m_buf = scratch()
-    for lo in range(0, K, tile):
-        hi = min(lo + tile, K)
-        w, m = weights(lo, hi, e_buf, m_buf)
-        w *= m
-        np.matmul(w, x[lo:hi], out=y[lo:hi])
+    w, m = weights()
+    w *= m
+    y = np.matmul(w, x)
     qq = float(K) * q * q
     ng.meter_add("sub", ng.FLOP_COST["sub"] * qq * hh)
     ng.meter_add("mul", ng.FLOP_COST["mul"] * qq * (2 * hh + 1))
@@ -397,30 +385,22 @@ def _decay_mix(cum: Tensor, cb: Tensor, xh: Tensor) -> Tensor:
     ng.meter_add("matmul", 2.0 * qq * hh * x.shape[3])
 
     def vjp(g):
-        # per tile, with W = E o M: dxh = W^T g, dW = g xh^T, d(C B^T) =
+        # with W = E o M: dxh = W^T g, dW = g xh^T, d(C B^T) =
         # L o sum_heads(dW o E), and dcum_t = rowsum_t(dD) - colsum_t(dD)
         # for dD = dW o M o E (M = L o C B^T is zero above the diagonal)
-        gc = np.empty_like(c) if cum.requires_grad else None
-        gs = np.empty_like(s) if cb.requires_grad else None
-        gx = np.empty_like(x) if xh.requires_grad else None
-        e_buf, m_buf = scratch()
-        gw, tmp = np.empty_like(e_buf), np.empty_like(e_buf)
-        for lo in range(0, K, tile):
-            hi = min(lo + tile, K)
-            e, m = weights(lo, hi, e_buf, m_buf)
-            dw = np.matmul(g[lo:hi], x[lo:hi].transpose(0, 1, 3, 2), out=gw[: hi - lo])
-            t = tmp[: hi - lo]
-            if gx is not None:
-                np.multiply(e, m, out=t)
-                np.matmul(t.transpose(0, 1, 3, 2), g[lo:hi], out=gx[lo:hi])
-            if gc is not None:
-                np.multiply(dw, m, out=t)
-                t *= e
-                np.subtract(t.sum(axis=3), t.sum(axis=2), out=gc[lo:hi])
-            if gs is not None:
-                dw *= e
-                np.sum(dw, axis=1, out=gs[lo:hi])
-                gs[lo:hi] *= lower
+        e, m = weights()
+        dw = np.matmul(g, x.transpose(0, 1, 3, 2))
+        gc = gs = gx = None
+        if xh.requires_grad:
+            gx = np.matmul((e * m).transpose(0, 1, 3, 2), g)
+        if cum.requires_grad:
+            t = dw * m
+            t *= e
+            gc = t.sum(axis=3) - t.sum(axis=2)
+        if cb.requires_grad:
+            dw *= e
+            gs = dw.sum(axis=1)
+            gs *= lower
         return gc, gs, gx
 
     return ng.custom_op(y, (cum, cb, xh), vjp)
@@ -505,8 +485,10 @@ def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
     boundary states are passed on (Mamba-2, arXiv 2405.21060, sec. 6), so
     nothing of size [T, heads, head_dim, n_state] is kept, with or without
     grad.  Each chunk is laid out head-major, so every contraction is one
-    batched matmul.  All chunks of x are evaluated at once; the block bounds
-    the working set by cutting its rows into groups before the scan.
+    batched matmul.  All chunks of x are evaluated at once, so a call over
+    a whole stream holds the per-head mix weights [K, heads, q, q] of all
+    its K chunks; the block bounds the working set by cutting its rows into
+    groups of `_SSD_GROUP` chunks before the scan.
 
     Returns y [T, d_inner].  Raises NumericError naming the first token
     whose inputs (dA, B, C, x dt) or output are non-finite, or the last

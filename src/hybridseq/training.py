@@ -458,6 +458,8 @@ def evaluate(
     check this against).
     """
     task.validate()
+    if n_instances < 1:
+        raise ContractError(f"evaluate needs at least one instance, got {n_instances}")
     correct = 0
     loss_sum = 0.0
     for i in range(n_instances):

@@ -80,6 +80,72 @@ class TestConfigFile:
         assert resolved["seed"] == "5"
 
 
+class TestConfigValues:
+    """A bad seed, eval_instances or ca_from_sa exits 3 with the key named,
+    before any work and without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        BASE_TRAIN + ["--seed", "-1"],
+        ["bench", "--M", "16", "--N", "8", "--d", "16", "--layers", "1", "--seed", "-2"],
+    ])
+    def test_negative_seed_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["env", "config"])
+    @pytest.mark.parametrize("value", ["abc", "-4"])
+    def test_bad_seed_from_env_or_config_file(self, tmp_path, capsys, monkeypatch, where, value):
+        bench = str(tmp_path / "bench")
+        assert run(["bench", "--arch", "hybrid", "--M", "16,32", "--N", "8", "--d", "16",
+                    "--layers", "1", "--repeats", "3", "--out", bench]) == 0
+        argv = ["analyze", "--input", os.path.join(bench, "bench.json"),
+                "--out", str(tmp_path / "an")]
+        if where == "env":
+            monkeypatch.setenv("HYBRIDSEQ_SEED", value)
+        else:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(f"seed = {value}\n")
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "an").exists()  # refused before the fit
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_eval_instances_below_one(self, tmp_path, capsys, command, value):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"eval_instances = {value}\n")
+        out = tmp_path / "x"
+        argv = BASE_TRAIN if command == "train" else [
+            "eval", "--ckpt", str(tmp_path / "none.ckpt"), "--M", "6"]
+        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+        assert "eval_instances" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()  # refused before training
+
+    @pytest.mark.parametrize("value", ["no", "yes", "2", "TRUE", ""])
+    def test_ca_from_sa_outside_the_booleans(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"ca_from_sa = {value}\n")
+        argv = ["train", "--arch", "hybrid", "--M", "6", "--d", "8", "--layers", "1",
+                "--steps", "1", "--batch", "1", "--config", str(cfg),
+                "--out", str(tmp_path / "x")]
+        assert run(argv) == 3
+        assert "ca_from_sa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,expected", [
+        ("0", False), ("false", False), ("False", False),
+        ("1", True), ("true", True), ("True", True),
+    ])
+    def test_ca_from_sa_accepts_the_booleans(self, value, expected):
+        resolved = dict(cli.DEFAULTS, ca_from_sa=value)
+        assert cli._model_config(resolved).ca_from_sa is expected
+
+
 class TestTrainCommand:
     def test_train_writes_artifacts(self, tmp_path):
         out = str(tmp_path / "run")

@@ -631,6 +631,48 @@ class TestHybridFromBaseline:
         hyb.layers[0].self_attn.w_q.data[:] = 0.0
         assert not np.array_equal(base.layers[0].self_attn.w_q.data, 0.0)
 
+    @pytest.mark.parametrize("block", ["mamba1", "mamba2", BLOCK_NONE])
+    @pytest.mark.parametrize("ca_from_sa", [False, True])
+    def test_graft_copies_the_baseline_then_draws_cross_and_block(self, block, ca_from_sa):
+        # the baseline's parameters hold gradients, as after a training step
+        base = build_model(small_config(arch=ARCH_BASELINE), seed=43)
+        base_params = named_parameters(base)
+        for t in base_params.values():
+            t.grad = np.ones_like(t.data)
+        before = {name: t.data.copy() for name, t in base_params.items()}
+        cfg = small_config(block=block, ca_from_sa=ca_from_sa)
+        hyb = hybrid_from_baseline(base, cfg, seed=44, mamba_out_std=0.1)
+        got = named_parameters(hyb)
+        assert all(t.requires_grad and t.grad is None for t in got.values())
+        for name, t in base_params.items():
+            assert np.array_equal(got[name].data, t.data), name
+            assert not np.shares_memory(got[name].data, t.data), name
+
+        # per layer, new_rng(seed) draws the cross-attention (unless it is
+        # copied from the self-attention), then the block
+        rng = ng.new_rng(44)
+        for i, layer in enumerate(hyb.layers):
+            cross = (attn_mod.init_cross_from_self(layer.self_attn) if ca_from_sa
+                     else attn_mod.init_attention_params(rng, cfg.d, cfg.n_heads))
+            drawn = cross.named("x")
+            if block == BLOCK_NONE:
+                assert layer.mamba is None
+            else:
+                drawn.update(ssm_mod.init_ssm_params(rng, cfg.d, block, out_init_std=0.1).named("m"))
+            grafted = layer.cross_attn.named("x")
+            if layer.mamba is not None:
+                grafted.update(layer.mamba.named("m"))
+            assert drawn.keys() == grafted.keys()
+            for name in drawn:
+                assert np.array_equal(grafted[name].data, drawn[name].data), (i, name)
+
+        # training the graft in place leaves the baseline and its gradients alone
+        backward(ng.tsum(text_logits(hyb, random_sequence(hyb, 5, 4, seed=45))))
+        for t in got.values():
+            t.data -= 0.1 * t.grad
+        for name, t in base_params.items():
+            assert np.array_equal(t.data, before[name]) and np.all(t.grad == 1.0), name
+
     def test_random_cross_differs(self):
         base = build_model(small_config(arch=ARCH_BASELINE), seed=37)
         hyb = hybrid_from_baseline(base, small_config(ca_from_sa=False), seed=38)

@@ -424,6 +424,12 @@ class TestEvaluate:
         assert acc <= 0.5
         assert loss > 0
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fewer_than_one_instance_is_a_contract_error(self, n):
+        model = build_model(tiny_config(), seed=18)
+        with pytest.raises(ContractError, match="at least one instance"):
+            evaluate(model, tiny_task(), n_instances=n)
+
     def test_re_evaluation_identical(self):
         model = build_model(tiny_config(), seed=18)
         task = tiny_task()
