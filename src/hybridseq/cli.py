@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -150,9 +151,12 @@ def _to_bool(resolved: dict, key: str) -> bool:
 
 def _to_float(resolved: dict, key: str) -> float:
     try:
-        return float(resolved[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}={resolved[key]!r} is not a number") from exc
+        val = float(resolved[key])
+    except ValueError:
+        val = math.nan
+    if math.isnan(val):
+        raise ConfigError(f"config key {key}={resolved[key]!r} is not a number")
+    return val
 
 
 def _model_config(resolved: dict, arch: str | None = None) -> HybridStackConfig:
@@ -372,7 +376,8 @@ def cmd_bench(args) -> int:
     out_dir = _prepare_out(resolved)
     seed = _to_int(resolved, "seed")
     m_grid = parse_grid(resolved["M"])
-    n = _to_int(resolved, "N")
+    n = _to_int(resolved, "N", least=1)
+    repeats = _to_int(resolved, "repeats", least=3)  # the fewest for a stable median
 
     arch = resolved["arch"]
     names = [ARCH_HYBRID, ARCH_BASELINE] if arch == "both" else [arch]
@@ -382,7 +387,7 @@ def cmd_bench(args) -> int:
 
     reports = pf.bench(
         models, [(m, n) for m in m_grid],
-        repeats=_to_int(resolved, "repeats"),
+        repeats=repeats,
         mem_budget_values=_to_float(resolved, "mem_budget"),
         seed=seed,
     )

@@ -40,8 +40,6 @@ from .numerics import ContractError, HybridSeqError, Tensor
 from .ssm import SSMParams
 
 __all__ = [
-    "ROLE_VIDEO",
-    "ROLE_TEXT",
     "ARCH_HYBRID",
     "ARCH_BASELINE",
     "BLOCK_NONE",
@@ -67,9 +65,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-ROLE_VIDEO = 0
-ROLE_TEXT = 1
-
 ARCH_HYBRID = "hybrid"
 ARCH_BASELINE = "transformer_baseline"
 BLOCK_NONE = "none"
@@ -90,25 +85,18 @@ class FormatError(HybridSeqError):
 
 @dataclass
 class TokenSequence:
-    """Interleaved token embeddings with per-position roles, video first."""
+    """Token embeddings laid out video first: m video rows, then the text."""
 
     embeddings: Tensor
-    roles: np.ndarray
-    m: int = field(init=False)  # video rows, counted once
-    n: int = field(init=False)  # text rows
+    m: int  # video rows
+    n: int = field(init=False)  # text rows, the rest
 
     def __post_init__(self):
-        self.roles = np.asarray(self.roles, dtype=np.int8)
-        if self.embeddings.shape[0] != self.roles.shape[0]:
-            raise ContractError("embeddings and roles disagree on length")
-        is_text = self.roles == ROLE_TEXT
-        if not is_text.any():
-            raise ContractError("a sequence needs at least one text token")
-        first_text = int(np.argmax(is_text))
-        if not is_text[first_text:].all():
-            raise ContractError("layout must be video-first: text follows all video")
-        self.m = int(np.count_nonzero(self.roles == ROLE_VIDEO))
-        self.n = len(self.roles) - first_text
+        rows = self.embeddings.shape[0]
+        if not 0 <= self.m < rows:
+            raise ContractError(f"a sequence needs 0 <= m < rows (at least one text "
+                                f"token), got m = {self.m} of {rows} rows")
+        self.n = rows - self.m
 
 
 @dataclass
@@ -321,15 +309,11 @@ def make_sequence(model: Model, video: np.ndarray | None, text_ids) -> TokenSequ
         raise ContractError("text token id outside the vocabulary")
     text_emb = ng.index_rows(model.token_table, ids)
     if video is None or len(video) == 0:
-        emb = text_emb
-        roles = np.full(ids.size, ROLE_TEXT)
-    else:
-        vid = np.asarray(video, dtype=np.float64)
-        if vid.ndim != 2 or vid.shape[1] != model.config.d:
-            raise ContractError(f"video vectors must be [M, {model.config.d}]")
-        emb = ng.concat_rows([Tensor(vid), text_emb])
-        roles = np.concatenate([np.full(len(vid), ROLE_VIDEO), np.full(ids.size, ROLE_TEXT)])
-    return TokenSequence(embeddings=emb, roles=roles)
+        return TokenSequence(embeddings=text_emb, m=0)
+    vid = np.asarray(video, dtype=np.float64)
+    if vid.ndim != 2 or vid.shape[1] != model.config.d:
+        raise ContractError(f"video vectors must be [M, {model.config.d}]")
+    return TokenSequence(embeddings=ng.concat_rows([Tensor(vid), text_emb]), m=len(vid))
 
 
 # --------------------------------------------------------------------------
@@ -444,7 +428,7 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
     m, n = seq.m, seq.n
     x = seq.embeddings
     if m == 0:
-        return TokenSequence(_prompt_text_half(layer, x, None, cache_sink), seq.roles)
+        return TokenSequence(_prompt_text_half(layer, x, None, cache_sink), m)
     x_v = ng.slice_rows(x, 0, m)
     video = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
     if cache_sink is not None:
@@ -454,7 +438,7 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
         video = attn.build_video_kv_cache(layer.cross_attn, video)
     v_out = x_v if layer.mamba is None else ssm_mod.mamba_block_forward(layer.mamba, x_v)
     t_out = _prompt_text_half(layer, ng.slice_rows(x, m, m + n), video, cache_sink)
-    return TokenSequence(ng.concat_rows([v_out, t_out]), seq.roles)
+    return TokenSequence(ng.concat_rows([v_out, t_out]), m)
 
 
 def baseline_layer_forward(layer: Layer, seq: TokenSequence,
@@ -465,7 +449,7 @@ def baseline_layer_forward(layer: Layer, seq: TokenSequence,
     attention over video 1..i and text token j attention over all video
     plus text 1..j.  With `cache_sink` (gradients off) the layer appends its
     `LayerCache`: the keys/values of the joint stream."""
-    return TokenSequence(_prompt_text_half(layer, seq.embeddings, None, cache_sink), seq.roles)
+    return TokenSequence(_prompt_text_half(layer, seq.embeddings, None, cache_sink), seq.m)
 
 
 def forward_hidden(model: Model, seq: TokenSequence,

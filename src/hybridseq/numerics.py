@@ -49,7 +49,6 @@ __all__ = [
     "matmul_t",
     "rows_product",
     "bmatmul",
-    "einsum2",
     "transpose",
     "permute",
     "reshape",
@@ -449,7 +448,7 @@ def bmatmul(a, b) -> Tensor:
 
     Leading (batch) axes broadcast as in `np.matmul`; each batch element is
     one BLAS call, so this is the form to reach for when a contraction has
-    shared batch axes (einsum2 would loop in C without BLAS).
+    shared batch axes.
     """
     a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -464,46 +463,6 @@ def bmatmul(a, b) -> Tensor:
         ga = np.matmul(g, np.swapaxes(bd, -1, -2)) if a.requires_grad else None
         gb = np.matmul(np.swapaxes(ad, -1, -2), g) if b.requires_grad else None
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-    return _node(out, (a, b), vjp)
-
-
-def _parse_einsum2(spec: str):
-    lhs, out = spec.replace(" ", "").split("->")
-    sa, sb = lhs.split(",")
-    for s in (sa, sb, out):
-        if len(set(s)) != len(s):
-            raise ShapeError(f"einsum2 does not support repeated indices: {spec!r}")
-    if not set(out) <= (set(sa) | set(sb)):
-        raise ShapeError(f"einsum2 output index not in inputs: {spec!r}")
-    return sa, sb, out
-
-
-def einsum2(spec: str, a, b) -> Tensor:
-    """Binary einsum contraction with reverse-mode support.
-
-    Restricted to specs without repeated indices inside one operand, which
-    covers every contraction this package needs.
-    """
-    a, b = _coerce(a), _coerce(b)
-    sa, sb, out_spec = _parse_einsum2(spec)
-    if len(sa) != a.ndim or len(sb) != b.ndim:
-        raise ShapeError(f"einsum2 spec {spec!r} does not match operand ranks")
-    out = np.einsum(spec, a.data, b.data)
-    dims: dict[str, int] = {}
-    for s, t in ((sa, a), (sb, b)):
-        for ch, n in zip(s, t.shape):
-            dims[ch] = n
-    work = 1.0
-    for ch in set(sa) | set(sb):
-        work *= dims[ch]
-    meter_add("matmul", 2.0 * work)
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        ga = np.einsum(f"{out_spec},{sb}->{sa}", g, bd) if a.requires_grad else None
-        gb = np.einsum(f"{out_spec},{sa}->{sb}", g, ad) if b.requires_grad else None
-        return (ga, gb)
 
     return _node(out, (a, b), vjp)
 

@@ -35,7 +35,7 @@ from . import model as mod
 from . import numerics as ng
 from .model import ARCH_BASELINE, ARCH_HYBRID, BLOCK_NONE, Model
 from .numerics import ContractError, FLOP_COST
-from .ssm import _SSD_GROUP, EXPAND, SCAN_BLOCK, SSD_CHUNK
+from .ssm import _SSD_GROUP, EXPAND, SSD_CHUNK, _default_sizes
 
 __all__ = [
     "CostModel",
@@ -127,8 +127,9 @@ def _ssd_scan_values(m: int, d_inner: int, n_heads: int, n_state: int, chunk: in
 
 def _sequential_scan_values(m: int, d_inner: int, n_state: int, block: int) -> float:
     """Values the sequential mamba1 scan keeps for its reverse pass over m
-    rows: its inputs, every per-step [d_inner, n_state] stage of the
-    composition and the states themselves, and the outputs."""
+    rows, scanned `block` rows at a time: its inputs, every per-step
+    [n_state, d_inner] stage of the composition and the states themselves,
+    and the outputs."""
     c, n = d_inner, n_state
     k = -(-m // block)
     blocked = int(k > 1)  # rows cut into blocks, y rejoined
@@ -149,7 +150,7 @@ def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int
     d_inner = EXPAND * d
     size = _SSD_GROUP * SSD_CHUNK
     if variant == "mamba1":
-        vals = _sequential_scan_values(m, d_inner, n_state, SCAN_BLOCK)
+        vals = _sequential_scan_values(m, d_inner, n_state, SSD_CHUNK)
     else:
         full, last = divmod(m, size)
         vals = (full * _ssd_scan_values(size, d_inner, n_heads, n_state, SSD_CHUNK)
@@ -174,7 +175,7 @@ def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: 
     fl += 2.0 * 2 * m * d_inner * n_state  # B and C projections
     if variant == "mamba1":
         fl += 2.0 * d_inner * n_state  # a = -exp(a_log)
-        fl += float((9 + 2) * d_inner * n_state) * m  # recurrence + readout
+        fl += float((8 + 2) * d_inner * n_state) * m  # recurrence + readout
     else:
         fl += _ssd_scan_flops(m, d_inner, n_heads_ssm, n_state, SSD_CHUNK)
     fl += FLOP_COST["silu"] * float(m) * d_inner + m * d_inner  # gate
@@ -194,8 +195,12 @@ class CostModel:
     vocab_size: int = 256
     mlp_ratio: int = 4
     block_variant: str = "mamba2"
-    n_state: int = 64
-    n_heads_ssm: int = 4
+    n_state: int | None = None  # None: the variant's default, as the block picks it
+
+    def _block_sizes(self) -> tuple[int, int]:
+        """The block's (n_state, heads), read from `ssm` where not given."""
+        n_state, n_heads = _default_sizes(self.block_variant)
+        return (n_state if self.n_state is None else self.n_state), n_heads
 
     def flops(self, m: int, n: int) -> float:
         d, h = self.d, self.n_heads
@@ -214,9 +219,7 @@ class CostModel:
         elif self.architecture == ARCH_HYBRID:
             per_layer = 0.0
             if self.block_variant != BLOCK_NONE:
-                per_layer += _mamba_block_flops(
-                    m, d, self.block_variant, self.n_state, self.n_heads_ssm
-                )
+                per_layer += _mamba_block_flops(m, d, self.block_variant, *self._block_sizes())
             per_layer += _ln_flops(n, d)  # text pre-attention norm
             if m > 0:
                 per_layer += _ln_flops(m, d)  # video rows feeding cross keys
@@ -267,8 +270,8 @@ class CostModel:
             # slice, norm, cross key and value; the joined output
             per_layer += 1.0 * h * m * n + 7.0 * n * d + m * (5.0 * d + 1) + r * d
         if self.block_variant != BLOCK_NONE:
-            per_layer += _mamba_block_values(m, d, self.block_variant, self.n_heads_ssm,
-                                             self.n_state)
+            n_state, n_heads = self._block_sizes()
+            per_layer += _mamba_block_values(m, d, self.block_variant, n_heads, n_state)
         return vals + self.layers * per_layer
 
 
@@ -294,7 +297,7 @@ def _cost_model(cfg: mod.HybridStackConfig) -> CostModel:
     return CostModel(
         architecture=cfg.architecture, d=cfg.d, layers=cfg.n_layers, n_heads=cfg.n_heads,
         vocab_size=cfg.vocab_size, mlp_ratio=cfg.mlp_ratio, block_variant=cfg.block_variant,
-        n_state=cfg.n_state or (16 if cfg.block_variant == "mamba1" else 64),
+        n_state=cfg.n_state,
     )
 
 

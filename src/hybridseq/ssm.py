@@ -22,10 +22,13 @@ Which scan runs where:
   last 3 raw branch inputs) as graph nodes, so gradients cross group
   boundaries; an input of one group runs the body once on x itself.  No
   matrix product in the block sees more than one group's rows.
-* Within a group, mamba2 runs the chunked core (`_ssd_rows`, chunk
-  `SSD_CHUNK`) and mamba1 the blocked sequential scan, in prefill,
-  evaluation and training alike.  Both are built from `numerics` ops, so
-  they record a graph under grad, meter their FLOPs, and run the same code
+* Within a group, mamba2 runs the chunked core (`_ssd_rows`) and mamba1
+  the per-step scan (`_sequential_rows`), in prefill, evaluation and
+  training alike.  Both walk the group `SSD_CHUNK` rows at a time, and
+  both carry the state as [heads, n_state, head_dim], mamba1 being one
+  head of head_dim d_inner; `_scan_start` lays out a = -exp(a_log) and the
+  zero state once per call.  Both are built from `numerics` ops, so they
+  record a graph under grad, meter their FLOPs, and run the same code
   without grad.  Both take the state the group before left and the
   group's offset in the stream, which a `NumericError` adds to the index
   of the first bad row to name its token.
@@ -35,9 +38,11 @@ Which scan runs where:
   one group) and recomputes them in its reverse pass; a recorded call
   keeps no [chunks, heads, q, q] array.  The row group is the only tile.
 * `linear_recurrence` is the one hand-written recurrence (and VJP) in this
-  module.  `scan_sequential` runs it over blocks of `SCAN_BLOCK` rows; the
+  module.  The per-step scan runs it over the rows of a chunk, between a
+  broadcast product for its inputs and one batched readout against C; the
   chunked core runs it to pass the state from chunk to chunk.
-* `scan_sequential` is also the oracle the chunked core is tested against.
+* `scan_sequential` is also the oracle the chunked core is tested against;
+  it shares only `_selective_inputs` and `linear_recurrence` with it.
 """
 
 from __future__ import annotations
@@ -68,8 +73,7 @@ MAMBA2 = "mamba2"
 
 CONV_WIDTH = 4
 EXPAND = 2
-SSD_CHUNK = 64  # rows per chunk of the mamba2 block's scan
-SCAN_BLOCK = 64  # rows per block of the sequential scan
+SSD_CHUNK = 64  # rows per chunk of both scans
 _SSD_GROUP = 4  # chunks per row group of the block
 
 
@@ -138,6 +142,12 @@ def _inv_softplus(y: np.ndarray) -> np.ndarray:
     return np.log(np.expm1(y))
 
 
+def _default_sizes(variant: str) -> tuple[int, int]:
+    """The block's (n_state, heads) where a caller gives none: mamba1 keeps
+    16 states per channel in one head, mamba2 64 per head in 4 heads."""
+    return (16, 1) if variant == MAMBA1 else (64, 4)
+
+
 def init_ssm_params(
     rng: np.random.Generator,
     d_model: int,
@@ -152,10 +162,9 @@ def init_ssm_params(
     if variant not in (MAMBA1, MAMBA2):
         raise ContractError(f"unknown ssm variant {variant!r}")
     d_inner = EXPAND * d_model
-    if n_state is None:
-        n_state = 16 if variant == MAMBA1 else 64
-    if n_heads is None:
-        n_heads = 1 if variant == MAMBA1 else 4
+    default_state, default_heads = _default_sizes(variant)
+    n_state = default_state if n_state is None else n_state
+    n_heads = default_heads if n_heads is None else n_heads
     if variant == MAMBA1 and n_heads != 1:
         raise ContractError("mamba1 is single-head")
     if d_inner % n_heads != 0:
@@ -293,59 +302,70 @@ def _first_bad_row(*arrays: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
+def _scan_start(params: SSMParams):
+    """a = -exp(a_log) laid out as the scans read it, and the zero state.
+
+    Every scan carries its state as [heads, n_state, head_dim]; mamba1 is
+    one head of head_dim d_inner, so its a comes as [n_state, d_inner], and
+    mamba2's per-head a as [heads]."""
+    a_log = ng.transpose(params.a_log) if params.variant == MAMBA1 else params.a_log
+    a_neg = ng.mul(ng.exp(a_log), -1.0)
+    return a_neg, Tensor(np.zeros((params.n_heads, params.n_state, params.head_dim)))
+
+
 def _scan_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s0: Tensor):
-    """The recurrence over a few rows from the state s0: (y, every state)."""
+    """The recurrence over a few rows from the state s0 [heads, n_state,
+    head_dim]: (y, every state)."""
     T = x.shape[0]
     delta, b, c = _selective_inputs(params, x)
-    h, p, n = params.n_heads, params.head_dim, params.n_state
+    h, n, p = s0.shape
     if params.variant == MAMBA1:
-        # dA[t,c,n] = delta[t,c] * a[c,n]; full ZOH on the input path.
-        da = ng.einsum2("tc,cn->tcn", delta, a_neg)
+        # dA[t,0,n,c] = delta[t,c] * a[n,c]; full ZOH on the input path.
+        da = ng.mul(ng.reshape(delta, (T, 1, 1, p)), a_neg)
         coeff = ng.div(ng.expm1(da), a_neg)
-        u = ng.mul(ng.mul(coeff, ng.reshape(b, (T, 1, n))), ng.reshape(x, (T, params.d_inner, 1)))
-        s_all = linear_recurrence(ng.exp(da), u, s0)
-        return ng.einsum2("tcn,tn->tc", s_all, c), s_all
-    # dA[t,h] = delta[t,h] * a[h]; Euler input path b_bar = delta*B.
-    e = ng.reshape(ng.exp(ng.einsum2("th,h->th", delta, a_neg)), (T, h, 1, 1))
-    xdt = ng.mul(ng.reshape(x, (T, h, p)), ng.reshape(delta, (T, h, 1)))
-    s_all = linear_recurrence(e, ng.einsum2("thp,tn->thpn", xdt, b), s0)
-    return ng.reshape(ng.einsum2("thpn,tn->thp", s_all, c), (T, params.d_inner)), s_all
+        u = ng.mul(ng.mul(coeff, ng.reshape(b, (T, 1, n, 1))), ng.reshape(x, (T, 1, 1, p)))
+    else:
+        # dA[t,h] = delta[t,h] * a[h]; Euler input path b_bar = delta*B.
+        da = ng.reshape(ng.mul(delta, a_neg), (T, h, 1, 1))
+        xdt = ng.mul(ng.reshape(x, (T, h, 1, p)), ng.reshape(delta, (T, h, 1, 1)))
+        u = ng.mul(xdt, ng.reshape(b, (T, 1, n, 1)))
+    s_all = linear_recurrence(ng.exp(da), u, s0)
+    # y[t] = C_t S_t, one [1, n] x [n, head_dim] product per row and head
+    y = ng.bmatmul(ng.reshape(c, (T, 1, 1, n)), s_all)
+    return ng.reshape(y, (T, h * p)), s_all
 
 
 def _sequential_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, position: int):
     """`scan_sequential`'s body: the rows x [T >= 1, d_inner] of the stream
-    at `position` from the state s, a Tensor [heads, head_dim, n_state].
-    Returns (y, the end state as a Tensor of the same shape)."""
+    at `position` from the state s, a Tensor [heads, n_state, head_dim],
+    scanned `SSD_CHUNK` rows at a time.  Returns (y, the end state laid out
+    as s)."""
     T = x.shape[0]
-    h, p, n = params.n_heads, params.head_dim, params.n_state
-    shape = (params.d_inner, n) if params.variant == MAMBA1 else (h, p, n)
-    s = ng.reshape(s, shape)
     ys = []
-    for lo in range(0, T, SCAN_BLOCK):
-        hi = min(lo + SCAN_BLOCK, T)
+    for lo in range(0, T, SSD_CHUNK):
+        hi = min(lo + SSD_CHUNK, T)
         y, s_all = _scan_rows(params, a_neg, x if hi - lo == T else ng.slice_rows(x, lo, hi), s)
         bad = _first_bad_row(s_all.data, y.data)
         if bad is not None:
             raise NumericError(f"scan produced non-finite state at token {position + lo + bad}")
-        s = ng.reshape(ng.slice_rows(s_all, hi - lo - 1, hi - lo), shape)
+        s = ng.reshape(ng.slice_rows(s_all, hi - lo - 1, hi - lo), s.shape)
         ys.append(y)
     y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
-    return y, ng.reshape(s, (h, p, n))
+    return y, s
 
 
 def scan_sequential(params: SSMParams, x: Tensor) -> Tensor:
     """Exact left-to-right selective scan over x [T, d_inner] from a zero
     state; returns y [T, d_inner].
 
-    The rows are scanned in blocks of `SCAN_BLOCK`; each block starts from
-    the last state of the one before, passed on as a graph node, so
-    gradients cross the block boundaries and, without grad, only one block
-    of per-step states is alive at a time.
+    The rows are scanned one `SSD_CHUNK` at a time, the chunked scan's
+    chunk; each chunk starts from the last state of the one before, passed
+    on as a graph node, so gradients cross the chunk boundaries and,
+    without grad, only one chunk of per-step states is alive at a time.
     """
     if x.shape[0] == 0:
         raise ContractError("the scan needs at least one row")
-    a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    s0 = Tensor(np.zeros((params.n_heads, params.head_dim, params.n_state)))
+    a_neg, s0 = _scan_start(params)
     return _sequential_rows(params, a_neg, x, s0, 0)[0]
 
 
@@ -500,8 +520,7 @@ def scan_chunked_ssd(params: SSMParams, x: Tensor, chunk: int) -> Tensor:
         raise ContractError("chunked scan: chunk size must be positive")
     if x.shape[0] == 0:
         raise ContractError("the scan needs at least one row")
-    a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    h0 = Tensor(np.zeros((params.n_heads, params.n_state, params.head_dim)))
+    a_neg, h0 = _scan_start(params)
     return _ssd_rows(params, a_neg, x, h0, 0, chunk)[0]
 
 
@@ -559,8 +578,8 @@ def causal_conv4(params: SSMParams, xz: Tensor, tail) -> Tensor:
 def _block_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, tail,
                 position: int):
     """The block body over the rows x of one group, at `position` in the
-    stream, from the SSM state s (laid out as the variant's scan carries
-    it) and the convolution tail (the 3 raw branch inputs before x).
+    stream, from the SSM state s [heads, n_state, head_dim] and the
+    convolution tail (the 3 raw branch inputs before x).
     Returns (output, SSM state, tail) for the next group; s and the tail
     come back as Tensors."""
     proj = ng.matmul(ng.layer_norm(x, params.norm_gain, params.norm_bias), params.w_in)
@@ -608,10 +627,7 @@ def mamba_block_forward(params: SSMParams, x: Tensor) -> Tensor:
         )
     if x.shape[0] == 0:
         raise ContractError("the block needs at least one row")
-    a_neg = ng.mul(ng.exp(params.a_log), -1.0)
-    h, p, n = params.n_heads, params.head_dim, params.n_state
-    # mamba2's chunks carry the state as [heads, n_state, head_dim]
-    s = Tensor(np.zeros((h, n, p) if params.variant == MAMBA2 else (h, p, n)))
+    a_neg, s = _scan_start(params)
     tail = np.zeros((CONV_WIDTH - 1, params.d_inner))
 
     T, size = x.shape[0], _SSD_GROUP * SSD_CHUNK

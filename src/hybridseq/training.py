@@ -94,12 +94,12 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.stage not in (STAGE_PRETRAIN, STAGE_INSTRUCT):
             raise ConfigError(f"unknown stage {self.stage!r}")
-        if self.lam < 0:
-            raise ContractError("distillation weight must be non-negative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError("distillation weight lambda must be finite and non-negative")
         if self.stage == STAGE_INSTRUCT and self.lam != 0.0:
             raise ConfigError("the instruct stage trains with the LM loss only (lambda must be 0)")
-        if self.lr <= 0 or self.steps < 0 or self.batch < 1:
-            raise ConfigError("lr must be positive, steps >= 0, batch >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0) or self.steps < 0 or self.batch < 1:
+            raise ConfigError("lr must be finite and positive, steps >= 0, batch >= 1")
         return self
 
 
@@ -194,11 +194,11 @@ class SyntheticTask:
         if self.n_classes < 2:
             raise ConfigError("need at least two classes")
         if self.needle_count < 1:
-            raise ContractError("needle_count must be positive")
+            raise ConfigError("needle_count must be positive")
         if self.kind == "needle_retrieval" and self.m < self.needle_count:
-            raise ContractError("need m >= needle_count")
+            raise ConfigError("need M >= needle_count")
         if self.kind == "copy" and self.m < self.needle_count + 1:
-            raise ContractError("copy needs room for the marker and segment")
+            raise ConfigError("copy needs room for the marker and segment")
         if self.needle_count > TOK_COPY_QUERY - TOK_QUERY_BASE:
             raise ConfigError("needle_count exceeds the query token range")
         return self
@@ -355,6 +355,16 @@ def _frozen(params):
             p.requires_grad = True
 
 
+def _check_task_fits(model: Model, task: SyntheticTask) -> None:
+    """Validate the task, and check that its class tokens are in the model's
+    vocabulary."""
+    task.validate()
+    top = TOK_CLASS_BASE + task.n_classes
+    if top > model.config.vocab_size:
+        raise ConfigError(f"{task.n_classes} classes need token ids up to {top - 1}, "
+                          f"outside the model's vocabulary of {model.config.vocab_size}")
+
+
 def train(
     model: Model,
     cfg: TrainConfig,
@@ -369,7 +379,7 @@ def train(
     records.  The stage's frozen parameters are not differentiable during
     the call."""
     cfg.validate()
-    task.validate()
+    _check_task_fits(model, task)
     if cfg.lam > 0 and teacher is None:
         raise ConfigError("distillation (lambda > 0) requires a teacher model")
 
@@ -457,7 +467,7 @@ def evaluate(
     is the same in both (`model.generate_greedy` is the oracle the tests
     check this against).
     """
-    task.validate()
+    _check_task_fits(model, task)
     if n_instances < 1:
         raise ContractError(f"evaluate needs at least one instance, got {n_instances}")
     correct = 0

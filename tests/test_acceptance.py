@@ -279,6 +279,7 @@ def counted_grid():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_6_complexity(counted_grid, capsys):
     fit_b = pf.fit_scaling_exponent(counted_grid[ARCH_BASELINE])
     fit_h = pf.fit_scaling_exponent(counted_grid[ARCH_HYBRID])

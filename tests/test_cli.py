@@ -81,8 +81,8 @@ class TestConfigFile:
 
 
 class TestConfigValues:
-    """A bad seed, eval_instances or ca_from_sa exits 3 with the key named,
-    before any work and without a traceback."""
+    """A bad config value exits 3 with the key or the limit named, before
+    any work and without a traceback."""
 
     @pytest.mark.parametrize("argv", [
         BASE_TRAIN + ["--seed", "-1"],
@@ -136,6 +136,46 @@ class TestConfigValues:
                 "--out", str(tmp_path / "x")]
         assert run(argv) == 3
         assert "ca_from_sa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,named", [
+        ("M = 0", "M >= needle_count"),
+        ("needle_count = 0", "needle_count"),
+        ("lambda = -1", "lambda"),
+        ("lambda = nan", "lambda"),
+        ("lr = nan", "lr"),
+        ("lr = inf", "lr"),
+        ("n_classes = 300", "vocabulary"),
+        ("vocab = 2", "vocabulary"),
+    ])
+    def test_bad_train_value(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x"
+        argv = ["train", "--arch", "transformer_baseline", "--stage", "instruct", "--d", "8",
+                "--layers", "1", "--steps", "2", "--batch", "1"]
+        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (out / "train_log.ndjson").exists()  # refused before training
+
+    def test_classes_outside_the_vocabulary_on_eval(self, tmp_path, capsys):
+        model = cli.build_model(cli.HybridStackConfig(d=8, n_layers=1, vocab_size=32), seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, ckpt)
+        out = tmp_path / "x"
+        assert run(["eval", "--ckpt", ckpt, "--M", "6", "--out", str(out)]) == 3
+        assert "vocabulary of 32" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
+    @pytest.mark.parametrize("line,named", [("repeats = 1", "repeats"), ("N = 0", "N")])
+    def test_bad_bench_value(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x"
+        argv = ["bench", "--arch", "hybrid", "--M", "16", "--d", "16", "--layers", "1"]
+        assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+        assert f"config key {named}=" in capsys.readouterr().err
+        assert not (out / "bench.json").exists()
 
     @pytest.mark.parametrize("value,expected", [
         ("0", False), ("false", False), ("False", False),

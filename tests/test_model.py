@@ -55,17 +55,14 @@ def random_sequence(model, m, n, seed=0):
 
 
 class TestTokenSequence:
-    def test_video_first_enforced(self):
-        emb = Tensor(np.zeros((3, 4)))
-        with pytest.raises(ContractError):
-            TokenSequence(embeddings=emb, roles=[1, 0, 1])
-
     def test_needs_text(self):
-        with pytest.raises(ContractError):
-            TokenSequence(embeddings=Tensor(np.zeros((2, 4))), roles=[0, 0])
+        # m counts the video rows; every row past them is text
+        for m in (2, 3, -1):
+            with pytest.raises(ContractError):
+                TokenSequence(embeddings=Tensor(np.zeros((2, 4))), m=m)
 
     def test_counts(self):
-        seq = TokenSequence(embeddings=Tensor(np.zeros((5, 4))), roles=[0, 0, 0, 1, 1])
+        seq = TokenSequence(embeddings=Tensor(np.zeros((5, 4))), m=3)
         assert seq.m == 3 and seq.n == 2
 
     def test_config_validation(self):

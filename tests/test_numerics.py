@@ -273,16 +273,20 @@ class TestGradientsOnlyWhereRead:
         "div": ng.div,
         "matmul": ng.matmul,
         "bmatmul": ng.bmatmul,
-        "einsum2": lambda a, b: ng.einsum2("ij,jk->ik", a, b),
+        "mul_broadcast": ng.mul,
         "concat_rows": lambda a, b: ng.concat_rows([a, b]),
         "concat_cols": lambda a, b: ng.concat_cols([a, b]),
     }
+    # operand shapes where not [3, 3]: the per-step scan's outer products,
+    # [T, 1, 1, p] x [n, p] -> [T, 1, n, p]
+    SHAPES = {"mul_broadcast": ((5, 1, 1, 3), (2, 3))}
 
     @pytest.mark.parametrize("name", sorted(BINARY))
     @pytest.mark.parametrize("which", [0, 1])
     def test_binary_vjp_returns_none_for_the_constant(self, name, which):
         rng = ng.new_rng(20)
-        ops = [Tensor(rng.standard_normal((3, 3)) + 3.0) for _ in range(2)]
+        shapes = self.SHAPES.get(name, ((3, 3), (3, 3)))
+        ops = [Tensor(rng.standard_normal(shape) + 3.0) for shape in shapes]
         ops[which].requires_grad = True
         out = self.BINARY[name](*ops)
         grads = out._vjp(rng.standard_normal(out.shape))
@@ -405,7 +409,10 @@ PRIMITIVE_CASES = [
     ("softplus", lambda x: ng.tsum(ng.softplus(x)), (6,)),
     ("gelu", lambda x: ng.tsum(ng.gelu(x)), (6,)),
     ("matmul", lambda x: ng.tsum(ng.matmul(x, ng.transpose(x))), (4, 3)),
-    ("einsum", lambda x: ng.tsum(ng.einsum2("ij,kj->ik", x, x)), (4, 3)),
+    # the per-step scan's readout, the contraction c[t,n] s[t,h,n,p] -> y[t,h,p],
+    # as one bmatmul [T, 1, 1, n] x [T, h, n, p] broadcast over the heads
+    ("einsum", lambda x: ng.tsum(ng.bmatmul(ng.reshape(ng.slice_cols(x, 0, 4), (3, 1, 1, 4)),
+                                            ng.reshape(x, (3, 2, 4, 3)))), (3, 24)),
     ("softmax", lambda x: ng.tsum(ng.mul(ng.softmax_rows(x), x)), (4, 5)),
     ("log_softmax", lambda x: ng.tsum(ng.mul(ng.log_softmax_rows(x), x)), (4, 5)),
     (

@@ -130,7 +130,7 @@ class TestBlockFlops:
         assert meter.total == pf._mamba_block_flops(m, 8, variant, p.n_state, p.n_heads)
 
     @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
-    @pytest.mark.parametrize("m", [1, ssm.SCAN_BLOCK + 1, 2 * ssm.SCAN_BLOCK + 5])
+    @pytest.mark.parametrize("m", [1, ssm.SSD_CHUNK + 1, 2 * ssm.SSD_CHUNK + 5])
     def test_block_count_does_not_depend_on_grad_mode(self, variant, m):
         # the same composition runs with and without a recorded graph
         p = ssm.init_ssm_params(ng.new_rng(2), 8, variant, out_init_std=0.1)
@@ -338,7 +338,7 @@ class TestScanMemory:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        est = 8 * pf._sequential_scan_values(t, params.d_inner, params.n_state, ssm.SCAN_BLOCK)
+        est = 8 * pf._sequential_scan_values(t, params.d_inner, params.n_state, ssm.SSD_CHUNK)
         assert 0.9 < est / kept < 1.1, f"estimate {est / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
 
     def test_block_values_follow_the_row_groups(self):

@@ -12,7 +12,6 @@ from hybridseq.numerics import ContractError, NumericError, Tensor, backward, fi
 from hybridseq.ssm import (
     MAMBA1,
     MAMBA2,
-    SCAN_BLOCK,
     SSD_CHUNK,
     SSMParams,
     hippo_init,
@@ -36,14 +35,14 @@ def make_params(variant, d_model=4, seed=0, out_std=0.3, **kw):
 
 
 def a_neg_of(p):
-    return ng.mul(ng.exp(p.a_log), -1.0)
+    return ssm._scan_start(p)[0]
 
 
 def sequential_in_pieces(p, x, cuts):
     """`_sequential_rows` over x cut at `cuts`, each piece starting from the
     state the piece before left, as the block hands it from group to group.
     Returns (y, end state)."""
-    s, ys = Tensor(np.zeros((p.n_heads, p.head_dim, p.n_state))), []
+    s, ys = ssm._scan_start(p)[1], []
     edges = [0, *cuts, x.shape[0]]
     for lo, hi in zip(edges, edges[1:]):
         y, s = ssm._sequential_rows(p, a_neg_of(p), Tensor(x[lo:hi]), s, lo)
@@ -55,8 +54,7 @@ def block_in_pieces(p, x, cuts):
     """`_block_rows` over x cut at `cuts`, each piece starting from the SSM
     state and convolution tail the piece before left, as the block hands
     them from group to group; no cuts runs one body over the whole stream."""
-    h, hd, n = p.n_heads, p.head_dim, p.n_state
-    s = Tensor(np.zeros((h, n, hd) if p.variant == MAMBA2 else (h, hd, n)))
+    s = ssm._scan_start(p)[1]
     tail, ys = np.zeros((ssm.CONV_WIDTH - 1, p.d_inner)), []
     edges = [0, *cuts, x.shape[0]]
     for lo, hi in zip(edges, edges[1:]):
@@ -226,7 +224,7 @@ class TestScanSequential:
         h0 = np.array([[0.25, -0.4]])
         with ng.no_grad():
             y, s = ssm._sequential_rows(p, a_neg_of(p), Tensor([[x0]]),
-                                        Tensor(h0.reshape(1, 1, 2)), 0)
+                                        Tensor(h0.reshape(1, 2, 1)), 0)
 
         delta = math.log1p(math.exp(x0 * 0.4 + 0.2))
         b_t = np.array([0.9, -0.3]) * x0
@@ -279,10 +277,10 @@ class TestScanSequential:
         assert rel_err(xt.grad, fd) < 1e-4
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
-    @pytest.mark.parametrize("cut", [SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1])
+    @pytest.mark.parametrize("cut", [SSD_CHUNK - 1, SSD_CHUNK, SSD_CHUNK + 1])
     def test_chaining_across_scan_blocks_bit_exact(self, variant, cut):
         p = make_params(variant, d_model=4, seed=18)
-        x = ng.new_rng(19).standard_normal((2 * SCAN_BLOCK + 5, p.d_inner))
+        x = ng.new_rng(19).standard_normal((2 * SSD_CHUNK + 5, p.d_inner))
         with ng.no_grad():
             y_full = scan_sequential(p, Tensor(x))
             _, s_full = sequential_in_pieces(p, x, [])
@@ -292,8 +290,8 @@ class TestScanSequential:
 
     @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
     def test_gradients_across_scan_blocks_vs_finite_differences(self, variant):
-        # three blocks: the state and its adjoint pass two block boundaries
-        T = 2 * SCAN_BLOCK + 5
+        # three chunks: the state and its adjoint pass two chunk boundaries
+        T = 2 * SSD_CHUNK + 5
         p = make_params(variant, d_model=2, seed=20, n_state=4)
         rng = ng.new_rng(21)
         p.delta_bias = Tensor(np.log(np.expm1(rng.uniform(0.05, 0.2, p.n_delta))),
@@ -323,11 +321,11 @@ class TestScanSequential:
             assert max_rel_diff(param.grad, fd) < 1e-6, name
 
     def test_mamba1_no_grad_peak_does_not_grow_with_t(self):
-        # without grad only one block of [rows, d_inner, n_state] values is
+        # without grad only one chunk of [rows, n_state, d_inner] values is
         # alive; what grows with T is the [T, d_inner]-sized inputs and output
         p = make_params(MAMBA1, d_model=16, seed=22)
         peaks = {}
-        for T in (4 * SCAN_BLOCK, 32 * SCAN_BLOCK):
+        for T in (4 * SSD_CHUNK, 32 * SSD_CHUNK):
             x = Tensor(ng.new_rng(23).standard_normal((T, p.d_inner)))
             with ng.no_grad():
                 tracemalloc.start()
@@ -336,10 +334,10 @@ class TestScanSequential:
                     peaks[T] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-        # eight float64 [rows, d_inner] arrays for the 28 blocks' rows added;
+        # eight float64 [rows, d_inner] arrays for the 28 chunks' rows added;
         # keeping every state would add n_state = 16 of them
-        grown = peaks[32 * SCAN_BLOCK] - peaks[4 * SCAN_BLOCK]
-        assert grown < 8 * (28 * SCAN_BLOCK * p.d_inner * 8)
+        grown = peaks[32 * SSD_CHUNK] - peaks[4 * SSD_CHUNK]
+        assert grown < 8 * (28 * SSD_CHUNK * p.d_inner * 8)
 
     def test_bounded_state_under_long_input(self):
         p = make_params(MAMBA2, d_model=4, seed=4)
@@ -822,8 +820,8 @@ class TestChunkedBlockScan:
         prefix = rng.standard_normal((70, p.d_inner))
         x0 = rng.standard_normal((self.T, p.d_inner))
         w = Tensor(rng.standard_normal((self.T, p.d_inner)))
-        w_end = Tensor(rng.standard_normal((p.n_heads, p.head_dim, p.n_state)))
-        s0 = np.zeros((p.n_heads, p.head_dim, p.n_state))
+        w_end = Tensor(rng.standard_normal((p.n_heads, p.n_state, p.head_dim)))
+        s0 = np.zeros((p.n_heads, p.n_state, p.head_dim))
         if carried:
             with ng.no_grad():
                 s0 = sequential_in_pieces(p, prefix, [])[1]
@@ -832,8 +830,7 @@ class TestChunkedBlockScan:
             return ssm._sequential_rows(p, a_neg_of(p), xt, st, 70)
 
         def chk(xt, st):
-            y, h = ssm._ssd_rows(p, a_neg_of(p), xt, ng.permute(st, (0, 2, 1)), 70, SSD_CHUNK)
-            return y, ng.permute(h, (0, 2, 1))
+            return ssm._ssd_rows(p, a_neg_of(p), xt, st, 70, SSD_CHUNK)
 
         with ng.no_grad():
             y_seq, end_seq = seq(Tensor(x0), Tensor(s0))
@@ -870,7 +867,7 @@ class TestChunkedBlockScan:
             y1, mid = ssm._ssd_rows(p, a_neg_of(p), Tensor(x0[:51]), h0, 0, chunk)
             y2, end2 = ssm._ssd_rows(p, a_neg_of(p), Tensor(x0[51:]), mid, 51, chunk)
         assert max_rel_diff(y_chk.data, y_seq) < 1e-12
-        assert max_rel_diff(end_chk.data.transpose(0, 2, 1), end_seq) < 1e-12
+        assert max_rel_diff(end_chk.data, end_seq) < 1e-12
         assert np.array_equal(np.concatenate([y1.data, y2.data]), y_chk.data)
         assert np.array_equal(end2.data, end_chk.data)
 
@@ -882,6 +879,23 @@ class TestChunkedBlockScan:
             grads.append((xt.grad, p.a_log.grad))
         assert max_rel_diff(grads[1][0], grads[0][0]) < 1e-12
         assert max_rel_diff(grads[1][1], grads[0][1]) < 1e-12
+
+    def test_chunked_then_sequential_hand_the_state_on_as_it_is(self):
+        # both row scans carry the state as [heads, n_state, head_dim]: the
+        # state the chunked core leaves after one group enters the per-step
+        # scan unchanged, and the stream reads as one scan
+        G = ssm._SSD_GROUP * SSD_CHUNK
+        p = self._oracle_params()
+        x = ng.new_rng(75).standard_normal((G + 77, p.d_inner))
+        a_neg, h0 = ssm._scan_start(p)
+        with ng.no_grad():
+            y1, mid = ssm._ssd_rows(p, a_neg, Tensor(x[:G]), h0, 0, SSD_CHUNK)
+            y2, end = ssm._sequential_rows(p, a_neg, Tensor(x[G:]), mid, G)
+            y_whole = scan_sequential(p, Tensor(x)).data
+            y_ref, end_ref = sequential_in_pieces(p, x, [])
+        assert np.array_equal(y_ref, y_whole)
+        assert max_rel_diff(np.concatenate([y1.data, y2.data]), y_whole) < 1e-12
+        assert max_rel_diff(end.data, end_ref) < 1e-12
 
     @pytest.mark.parametrize("grad", [False, True])
     def test_overflow_names_its_token(self, grad):

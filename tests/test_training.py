@@ -196,7 +196,7 @@ class TestCombinedLoss:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ContractError):
             combined_loss(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)), -0.1)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             TrainConfig(stage="pretrain", lam=-1.0).validate()
 
     def test_instruct_forces_lambda_zero(self):
@@ -232,7 +232,7 @@ class TestSyntheticTasks:
         assert np.array_equal(answer, sup)
 
     def test_contracts(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             tiny_task(m=2, needle_count=3).validate()
         with pytest.raises(ConfigError):
             SyntheticTask(kind="mystery").validate()
