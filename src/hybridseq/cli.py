@@ -378,6 +378,9 @@ def cmd_bench(args) -> int:
     m_grid = parse_grid(resolved["M"])
     n = _to_int(resolved, "N", least=1)
     repeats = _to_int(resolved, "repeats", least=3)  # the fewest for a stable median
+    mem_budget = _to_float(resolved, "mem_budget")
+    if mem_budget <= 0:
+        raise ConfigError(f"config key mem_budget={resolved['mem_budget']!r} is not positive")
 
     arch = resolved["arch"]
     names = [ARCH_HYBRID, ARCH_BASELINE] if arch == "both" else [arch]
@@ -388,7 +391,7 @@ def cmd_bench(args) -> int:
     reports = pf.bench(
         models, [(m, n) for m in m_grid],
         repeats=repeats,
-        mem_budget_values=_to_float(resolved, "mem_budget"),
+        mem_budget_values=mem_budget,
         seed=seed,
     )
     csv_path = os.path.join(out_dir, "bench.csv")

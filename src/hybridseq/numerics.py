@@ -49,7 +49,6 @@ __all__ = [
     "matmul_t",
     "rows_product",
     "bmatmul",
-    "transpose",
     "permute",
     "reshape",
     "concat_rows",
@@ -66,8 +65,6 @@ __all__ = [
     "tsum",
     "exp",
     "expm1",
-    "log",
-    "sqrt",
     "custom_op",
     "sigmoid",
     "silu",
@@ -139,8 +136,6 @@ FLOP_COST = {
     "mul": 1,
     "div": 1,
     "exp": 1,
-    "log": 1,
-    "sqrt": 1,
     "sigmoid": 4,
     "silu": 5,
     "softplus": 3,
@@ -250,40 +245,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def new_rng(seed: int) -> np.random.Generator:
@@ -436,7 +405,7 @@ def matmul_t(a, b) -> Tensor:
     out = rows_product(ad, bd.T)
     meter_add("matmul", 2.0 * ad.shape[1] * out.size)
 
-    def vjp(g):  # b's gradient rounds as matmul(a, transpose(b)) gives it
+    def vjp(g):  # b's gradient rounds as matmul(a, permute(b, (1, 0))) gives it
         return (g @ bd if a.requires_grad else None,
                 (ad.T @ g).T if b.requires_grad else None)
 
@@ -465,18 +434,6 @@ def bmatmul(a, b) -> Tensor:
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
     return _node(out, (a, b), vjp)
-
-
-def transpose(a) -> Tensor:
-    a = _coerce(a)
-    if a.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    out = a.data.T
-
-    def vjp(g):
-        return (g.T,)
-
-    return _node(out, (a,), vjp)
 
 
 def permute(a, axes) -> Tensor:
@@ -620,17 +577,15 @@ def cumsum0(a) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every element, a 0-d tensor."""
     a = _coerce(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum()
     _meter_elementwise("sum", a.size)
     shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _node(np.asarray(out), (a,), vjp)
 
@@ -655,24 +610,11 @@ def exp(a) -> Tensor:
     return _unary(a, out, lambda: out, "exp")
 
 
-def log(a) -> Tensor:
-    a = _coerce(a)
-    out = np.log(a.data)
-    ad = a.data
-    return _unary(a, out, lambda: 1.0 / ad, "log")
-
-
 def expm1(a) -> Tensor:
     """e^x - 1, accurate near x = 0."""
     a = _coerce(a)
     out = np.expm1(a.data)
     return _unary(a, out, lambda: out + 1.0, "exp")
-
-
-def sqrt(a) -> Tensor:
-    a = _coerce(a)
-    out = np.sqrt(a.data)
-    return _unary(a, out, lambda: 0.5 / out, "sqrt")
 
 
 def sigmoid(a) -> Tensor:

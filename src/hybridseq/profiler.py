@@ -110,9 +110,10 @@ def _ssd_scan_values(m: int, d_inner: int, n_heads: int, n_state: int, chunk: in
     """Values the chunked mamba2 scan keeps for its reverse pass over m rows
     from a zero state: its inputs, each chunk's C B^T and head-major
     tensors, and per chunk its contribution to the end state, the boundary
-    state and the chunk-start copy of it.  No per-step state history is
-    kept, and no per-head decay matrix: the intra-chunk mix recomputes its
-    weights in its reverse pass."""
+    state and the state it starts from, joined from h0 and a copy of the
+    boundary states but the last.  No per-step state history is kept, and
+    no per-head decay matrix: the intra-chunk mix recomputes its weights in
+    its reverse pass."""
     h, n, q = n_heads, n_state, chunk
     k = -(-m // q)
     rows = k * q
@@ -121,22 +122,21 @@ def _ssd_scan_values(m: int, d_inner: int, n_heads: int, n_state: int, chunk: in
     vals += framed * (rows * (h + 2.0 * n + d_inner) + m * d_inner)
     vals += rows * q  # C B^T
     vals += rows * (7.0 * d_inner + n + 6 * h)  # head-major copies, partial outputs
-    vals += 3.0 * k * d_inner * n  # chunk contributions, boundary states, starts
+    vals += (4.0 * k - 1) * d_inner * n  # contributions, boundary states, their copy, starts
     return vals
 
 
 def _sequential_scan_values(m: int, d_inner: int, n_state: int, block: int) -> float:
     """Values the sequential mamba1 scan keeps for its reverse pass over m
-    rows, scanned `block` rows at a time: its inputs, every per-step
-    [n_state, d_inner] stage of the composition and the states themselves,
-    and the outputs."""
+    rows, scanned `block` rows at a time: its inputs and x's blocks, every
+    per-step [n_state, d_inner] stage of the composition and the states
+    themselves, and the blocks' outputs and their join."""
     c, n = d_inner, n_state
     k = -(-m // block)
-    blocked = int(k > 1)  # rows cut into blocks, y rejoined
-    vals = m * (3.0 * c + 2 * n) + blocked * m * c  # delta (three stages), B, C; x's blocks
+    vals = m * (4.0 * c + 2 * n)  # delta (three stages), B, C, x's blocks
     vals += 2.0 * c * n  # a = -exp(a_log)
     vals += 7.0 * m * c * n  # dA, its exp and expm1, three input-path stages, states
-    vals += (1 + blocked) * m * c  # outputs
+    vals += 2.0 * m * c  # outputs, joined
     vals += k * c * n  # each block's last state, handed to the next
     return vals
 
@@ -145,8 +145,8 @@ def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int
     """Values a recorded block keeps for its reverse pass over m rows from
     the stream's start: the scan's, plus its activations.  The body runs
     over groups of `_SSD_GROUP * SSD_CHUNK` rows, so the chunked scan is
-    charged per group (only the last one is padded to the chunk grid);
-    more than one group also keeps x's row slices and the joined output."""
+    charged per group (only the last one is padded to the chunk grid), and
+    x's row slices and the joined output are kept."""
     d_inner = EXPAND * d
     size = _SSD_GROUP * SSD_CHUNK
     if variant == "mamba1":
@@ -156,7 +156,7 @@ def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int
         vals = (full * _ssd_scan_values(size, d_inner, n_heads, n_state, SSD_CHUNK)
                 + _ssd_scan_values(last, d_inner, n_heads, n_state, SSD_CHUNK))
     vals += m * (10.0 * d_inner + 4 * d + 1)  # norm, projections, conv, SiLUs, gate, residual
-    return vals + 2.0 * m * d * (m > size)
+    return vals + 2.0 * m * d
 
 
 def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: int) -> float:
@@ -405,7 +405,8 @@ def bench(
     """Median pre-fill wall clock plus counted/analytic FLOPs over a grid.
 
     `models` maps architecture name to a built model; `grid` is an iterable
-    of (M, N).  One warm-up run precedes timing.  Points whose estimated
+    of (M, N).  The metered run that counts FLOPs is the warm-up before
+    timing.  Points whose estimated
     memory exceeds the budget are skipped with the reason recorded.
     Grid points run sequentially; nothing is co-scheduled.  For the most
     stable timings set OPENBLAS_NUM_THREADS=1 (or the MKL equivalent)
@@ -430,8 +431,7 @@ def bench(
                 continue
             seq = _sequence_for(model, m, n, seed=seed)
             base.flops_analytic = cm.flops(m, n)
-            base.flops_counted = counted_cost(model, seq)
-            mod.prefill(model, seq)  # warm-up before timing
+            base.flops_counted = counted_cost(model, seq)  # also the warm-up
             samples = []
             for _ in range(repeats):
                 t0 = time_fn()

@@ -20,8 +20,8 @@ Which scan runs where:
   projection, residual) over row groups of `_SSD_GROUP * SSD_CHUNK` rows.
   A group hands the next one the SSM state and the convolution tail (the
   last 3 raw branch inputs) as graph nodes, so gradients cross group
-  boundaries; an input of one group runs the body once on x itself.  No
-  matrix product in the block sees more than one group's rows.
+  boundaries.  No matrix product in the block sees more than one group's
+  rows.
 * Within a group, mamba2 runs the chunked core (`_ssd_rows`) and mamba1
   the per-step scan (`_sequential_rows`), in prefill, evaluation and
   training alike.  Both walk the group `SSD_CHUNK` rows at a time, and
@@ -308,7 +308,7 @@ def _scan_start(params: SSMParams):
     Every scan carries its state as [heads, n_state, head_dim]; mamba1 is
     one head of head_dim d_inner, so its a comes as [n_state, d_inner], and
     mamba2's per-head a as [heads]."""
-    a_log = ng.transpose(params.a_log) if params.variant == MAMBA1 else params.a_log
+    a_log = ng.permute(params.a_log, (1, 0)) if params.variant == MAMBA1 else params.a_log
     a_neg = ng.mul(ng.exp(a_log), -1.0)
     return a_neg, Tensor(np.zeros((params.n_heads, params.n_state, params.head_dim)))
 
@@ -344,14 +344,13 @@ def _sequential_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, pos
     ys = []
     for lo in range(0, T, SSD_CHUNK):
         hi = min(lo + SSD_CHUNK, T)
-        y, s_all = _scan_rows(params, a_neg, x if hi - lo == T else ng.slice_rows(x, lo, hi), s)
+        y, s_all = _scan_rows(params, a_neg, ng.slice_rows(x, lo, hi), s)
         bad = _first_bad_row(s_all.data, y.data)
         if bad is not None:
             raise NumericError(f"scan produced non-finite state at token {position + lo + bad}")
         s = ng.reshape(ng.slice_rows(s_all, hi - lo - 1, hi - lo), s.shape)
         ys.append(y)
-    y = ys[0] if len(ys) == 1 else ng.concat_rows(ys)
-    return y, s
+    return ng.concat_rows(ys), s
 
 
 def scan_sequential(params: SSMParams, x: Tensor) -> Tensor:
@@ -452,10 +451,8 @@ def _ssd_chunks(da: Tensor, b: Tensor, c: Tensor, xdt: Tensor, h0: Tensor, q: in
     to_end = ng.permute(ng.exp(ng.sub(total, cum_q)), (1, 2, 0))  # [K, h, q]
     s_k = ng.bmatmul(ng.reshape(b_t, (K, 1, n, q)), ng.mul(xh, ng.reshape(to_end, (K, hh, q, 1))))
     ends = linear_recurrence(ng.exp(ng.reshape(total, (K, hh, 1, 1))), s_k, h0)
-    # the state entering each chunk: h0, then the boundary states read in place
-    starts = ng.custom_op(np.concatenate([h0.data[None], ends.data[: K - 1]]), (h0, ends),
-                          lambda g: (g[0] if h0.requires_grad else None,
-                                     ng._RowSlice(0, K - 1, g[1:]) if ends.requires_grad else None))
+    # the state entering each chunk: h0, then the first K - 1 boundary states
+    starts = ng.concat_rows([ng.reshape(h0, (1, hh, n, p)), ng.slice_rows(ends, 0, K - 1)])
 
     # read out the state carried into each chunk: C_t exp(cum_t) H_k
     y_state = ng.bmatmul(ng.reshape(c_k, (K, 1, q, n)), starts)
@@ -618,8 +615,7 @@ def mamba_block_forward(params: SSMParams, x: Tensor) -> Tensor:
     The body runs over groups of `_SSD_GROUP * SSD_CHUNK` rows.  Each group
     starts from the SSM state and convolution tail the group before left,
     passed on as graph nodes, so gradients cross group boundaries and,
-    without grad, only one group's temporaries are alive at a time.  An
-    input of one group runs the body once on x itself.
+    without grad, only one group's temporaries are alive at a time.
     """
     if x.shape[1] != params.d_model:
         raise ContractError(
@@ -633,7 +629,7 @@ def mamba_block_forward(params: SSMParams, x: Tensor) -> Tensor:
     T, size = x.shape[0], _SSD_GROUP * SSD_CHUNK
     ys = []
     for lo in range(0, T, size):
-        rows = x if size >= T else ng.slice_rows(x, lo, min(lo + size, T))
+        rows = ng.slice_rows(x, lo, min(lo + size, T))
         y, s, tail = _block_rows(params, a_neg, rows, s, tail, lo)
         ys.append(y)
-    return ys[0] if len(ys) == 1 else ng.concat_rows(ys)
+    return ng.concat_rows(ys)

@@ -430,7 +430,7 @@ def train(
             opt.step(trainable, lr_t)
 
             alphas = [
-                float(1.0 / (1.0 + math.exp(-l.self_attn.alpha_raw.item())))
+                float(ng._sigmoid_np(l.self_attn.alpha_raw.data))
                 for l in model.layers
                 if l.cross_attn is not None
             ]

@@ -54,7 +54,7 @@ def mha_tape(params, q_x, key_blocks, allowed_upto):
         lo, hi = h * dh, (h + 1) * dh
         q_h = ng.slice_cols(q_full, lo, hi)
         score_blocks = [
-            ng.matmul(q_h, ng.transpose(ng.slice_cols(k, lo, hi))) for k in k_full
+            ng.matmul(q_h, ng.permute(ng.slice_cols(k, lo, hi), (1, 0))) for k in k_full
         ]
         scores = ng.mul(
             score_blocks[0] if len(score_blocks) == 1 else ng.concat_cols(score_blocks),

@@ -167,7 +167,12 @@ class TestConfigValues:
         assert "vocabulary of 32" in capsys.readouterr().err
         assert not (out / "eval.json").exists()
 
-    @pytest.mark.parametrize("line,named", [("repeats = 1", "repeats"), ("N = 0", "N")])
+    @pytest.mark.parametrize("line,named", [
+        ("repeats = 1", "repeats"),
+        ("N = 0", "N"),
+        ("mem_budget = 0", "mem_budget"),
+        ("mem_budget = -1", "mem_budget"),
+    ])
     def test_bad_bench_value(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")
@@ -232,6 +237,17 @@ class TestTrainCommand:
         assert code == 0
         model = load_checkpoint(os.path.join(out2, "model.ckpt"))
         assert model.config.architecture == "hybrid"
+
+    def test_overflowing_training_exits_4(self, tmp_path, capsys):
+        # a learning rate this large drives the block's input past the float
+        # range at the second step; the run names the token, with no traceback
+        code = run(["train", "--arch", "hybrid", "--M", "16", "--d", "16", "--layers", "1",
+                    "--steps", "4", "--batch", "1", "--lr", "1e300",
+                    "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: scan produced non-finite state at token 0" in err
+        assert "Traceback" not in err
 
     def test_distill_requires_teacher(self, tmp_path):
         code = run([

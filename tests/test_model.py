@@ -686,6 +686,35 @@ class TestHybridFromBaseline:
             )
 
 
+class TestTextOnlyHybrid:
+    def test_grafted_hybrid_reads_text_as_its_baseline_does(self):
+        # with no video the hybrid layer runs its text half alone, on the
+        # baseline's weights, so it computes what the baseline computes
+        from hybridseq.profiler import analytic_cost
+
+        shape = dict(d=64, n_layers=2, n_heads=4, vocab_size=256)
+        base = build_model(HybridStackConfig(architecture=ARCH_BASELINE, block_variant=BLOCK_NONE,
+                                             **shape).validate(), seed=90)
+        hyb = hybrid_from_baseline(base, HybridStackConfig(**shape).validate(), seed=91,
+                                   mamba_out_std=0.2)
+        ids = ng.new_rng(92).integers(0, 256, size=9)
+        got = {}
+        for model in (base, hyb):
+            arch = model.config.architecture
+            seq = make_sequence(model, None, ids)
+            assert seq.m == 0
+            with ng.count_flops() as meter:
+                logits, ctx = prefill(model, seq)
+            assert meter.total == analytic_cost(arch, 0, 9, 64, 2)[0] == 1_910_824
+            got[arch] = (text_logits(model, seq).data, logits, ctx)
+        assert np.array_equal(got[ARCH_HYBRID][0], got[ARCH_BASELINE][0])
+        assert np.array_equal(got[ARCH_HYBRID][1], got[ARCH_BASELINE][1])
+
+        step, _ = decode_step(hyb, got[ARCH_HYBRID][2], hyb.token_table.data[5])
+        fresh, _ = prefill(hyb, make_sequence(hyb, None, np.append(ids, 5)))
+        assert np.max(np.abs(step - fresh)) < 1e-13
+
+
 class TestDecodeBranching:
     @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
     def test_branches_equal_independent_prefills(self, arch):

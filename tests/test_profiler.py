@@ -118,6 +118,22 @@ class TestCountedCost:
         assert counted_cost(model, seq) == counted_cost(model, seq)
 
 
+class TestFlopKinds:
+    def test_the_cost_table_lists_exactly_the_kinds_that_run(self):
+        # prefills of every architecture and block, and a distilling training
+        # step, meter every kind `FLOP_COST` prices and no other but matmul
+        from hybridseq.training import SyntheticTask, TrainConfig, train
+
+        models = [build(ARCH_HYBRID, d=16, layers=1), build(ARCH_HYBRID, "mamba1", d=16, layers=1),
+                  build(ARCH_BASELINE, "none", d=16, layers=1)]
+        with ng.count_flops() as meter:
+            for model in models:
+                mod.prefill(model, pf._sequence_for(model, 70, 4))
+            train(models[0], TrainConfig(lam=0.5, steps=1, batch=1), SyntheticTask(m=12),
+                  teacher=models[2])
+        assert set(meter.by_kind) == set(ng.FLOP_COST) | {"matmul"}
+
+
 class TestBlockFlops:
     @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
     @pytest.mark.parametrize("m", [1, ssm.SSD_CHUNK, 2 * ssm.SSD_CHUNK + 5])
@@ -273,6 +289,14 @@ class TestBench:
         reports = bench({"hybrid": model}, [(16, 4)], repeats=5,
                         time_fn=lambda: float(next(ticks)))
         assert reports[0].wall_ms_median == 500.0  # 0.5 s per tick pair
+
+    def test_the_metered_prefill_is_the_warm_up(self, monkeypatch):
+        model = build(ARCH_HYBRID, d=16, layers=1)
+        calls = []
+        real = mod.prefill
+        monkeypatch.setattr(mod, "prefill", lambda *a: calls.append(1) or real(*a))
+        bench({"hybrid": model}, [(16, 4)], repeats=3)
+        assert len(calls) == 1 + 3
 
     def test_repeats_contract(self):
         model = build(ARCH_HYBRID, d=16, layers=1)
