@@ -16,10 +16,12 @@ scores coincide bit-for-bit with the video columns of the joint path's
 score matrix (the two paths then diverge only through their softmax
 normalization sets).
 
-Keys and values come from one projection, `_projected`, whether an op
-projects them itself (training) or reads them from a cache: the video
-cache (`build_video_kv_cache`) and the self caches that `model` grows
-from `key_value_heads`.  Attention only reads a cache; it never grows one.
+Keys and values come from one projection, `key_value_rows`, whether an op
+projects them itself, takes them projected (the hybrid's training pass
+joins its video keys and values from row groups) or reads them from a
+cache: the video cache (`VideoKVCache.write`, which a prefill calls once
+per row group) and the self caches that `model` grows from
+`key_value_heads`.  Attention only reads a cache; it never grows one.
 
 Every op runs one kernel, `_attend`, with gradients on or off: training,
 prefill, cross-attention and both decode branches.  It takes query rows in
@@ -51,6 +53,7 @@ __all__ = [
     "cross_attention",
     "blended_text_update",
     "build_video_kv_cache",
+    "key_value_rows",
     "key_value_heads",
     "cross_attention_scores",
     "joint_text_scores",
@@ -97,7 +100,8 @@ class AttentionParams:
 class VideoKVCache:
     """Projected keys/values over all video tokens, [n_heads, M, head_dim].
 
-    Computed once per sequence and treated as read-only while text decodes.
+    Written once per sequence, a group of rows at a time (`write`), and
+    treated as read-only while text decodes.
     """
 
     k: np.ndarray
@@ -106,6 +110,20 @@ class VideoKVCache:
     @property
     def m(self) -> int:
         return self.k.shape[1]
+
+    @classmethod
+    def empty(cls, params_c: AttentionParams, m: int) -> "VideoKVCache":
+        """A cache with room for m video rows, none of them written."""
+        k = np.empty((params_c.n_heads, m, params_c.head_dim))
+        return cls(k, np.empty_like(k))
+
+    def write(self, params_c: AttentionParams, video: Tensor, at: int) -> None:
+        """Project the normed video rows `video` and write their keys and
+        values at rows at, at + 1, ... of the cache."""
+        _check_width(params_c, video, "video")
+        k, v = key_value_heads(params_c, video)
+        self.k[:, at : at + video.shape[0]] = k
+        self.v[:, at : at + video.shape[0]] = v
 
 
 def init_attention_params(
@@ -253,7 +271,7 @@ def _mha(params, q_x: Tensor, kv, allowed_upto: np.ndarray, what: str) -> Tensor
     return ng.matmul(out, params.w_o)
 
 
-def _projected(params, x: Tensor) -> tuple[Tensor, Tensor]:
+def key_value_rows(params, x: Tensor) -> tuple[Tensor, Tensor]:
     """The keys and values of rows x, [L, d] each."""
     return ng.matmul(x, params.w_k), ng.matmul(x, params.w_v)
 
@@ -275,7 +293,7 @@ def causal_self_attention(params: AttentionParams, x: Tensor, cache=None) -> Ten
     if x.shape[0] < 1:
         raise ContractError("causal_self_attention: need at least one position")
     if cache is None:
-        kv, start = _projected(params, x), 0
+        kv, start = key_value_rows(params, x), 0
     else:
         kv, start = (cache.text_k, cache.text_v), cache.n - x.shape[0]
     return _mha(params, x, kv, start + np.arange(x.shape[0]), "causal self-attention")
@@ -283,37 +301,40 @@ def causal_self_attention(params: AttentionParams, x: Tensor, cache=None) -> Ten
 
 def key_value_heads(params: AttentionParams, x: Tensor) -> tuple[np.ndarray, np.ndarray]:
     """The keys and values of rows x as [n_heads, L, head_dim] views."""
-    k, v = _projected(params, x)
+    k, v = key_value_rows(params, x)
     return _heads(k.data, params.n_heads), _heads(v.data, params.n_heads)
 
 
 def build_video_kv_cache(params_c: AttentionParams, video: Tensor) -> VideoKVCache:
-    """Project video tokens once; the cache serves the prefill's cross branch
-    and every later decode step, which read it without projecting again."""
-    _check_width(params_c, video, "video")
-    k, v = key_value_heads(params_c, video)
-    return VideoKVCache(k=np.ascontiguousarray(k), v=np.ascontiguousarray(v))
+    """The cache of the normed video rows `video`, projected in one call;
+    the cross branch and every decode step read it without projecting
+    again.  (A hybrid prefill fills its caches a row group at a time.)"""
+    cache = VideoKVCache.empty(params_c, video.shape[0])
+    cache.write(params_c, video, 0)
+    return cache
 
 
 def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
     """Every text query attends over all video keys/values (non-causal).
 
-    `video` may be a [M, d] tensor (keys/values computed inline, so
-    gradients flow) or a prebuilt VideoKVCache (prefill and decode), whose
-    keys and values the call reads as constants.
+    `video` may be the normed video rows, a [M, d] tensor whose keys and
+    values the call projects; their projected keys and values, a pair of
+    [M, d] tensors; or a VideoKVCache (no-grad prefill and decode), whose
+    keys and values the call reads as constants.  Gradients flow through
+    the first two.
     """
     _check_width(params_c, text_q, "text")
     if isinstance(video, VideoKVCache):
-        if video.m == 0:
-            raise ContractError("cross_attention: empty video cache")
         kv, m = (video.k, video.v), video.m
     else:
-        if video.shape[0] == 0:
-            raise ContractError(
-                "cross_attention: no video tokens; text-only sequences bypass the cross branch"
-            )
-        _check_width(params_c, video, "video")
-        kv, m = _projected(params_c, video), video.shape[0]
+        if not isinstance(video, tuple):
+            _check_width(params_c, video, "video")
+            video = key_value_rows(params_c, video)
+        kv, m = video, video[0].shape[0]
+    if m == 0:
+        raise ContractError(
+            "cross_attention: no video tokens; text-only sequences bypass the cross branch"
+        )
     return _mha(params_c, text_q, kv, np.full(text_q.shape[0], m - 1), "cross-attention")
 
 
@@ -328,11 +349,8 @@ def blended_text_update(
     """Hybrid text update: (1 - alpha) * cross-attention + alpha * causal
     self-attention, with one scalar blend weight shared by the layer.
 
-    `video` is a [M, d] tensor or a VideoKVCache; `cache` goes to the self
-    branch (see `causal_self_attention`)."""
-    m = video.m if isinstance(video, VideoKVCache) else video.shape[0]
-    if m < 1:
-        raise ContractError("blended_text_update requires at least one video token")
+    `video` takes any form `cross_attention` takes (which rejects an empty
+    one); `cache` goes to the self branch (see `causal_self_attention`)."""
     if text.shape[0] < 1:
         raise ContractError("blended_text_update requires at least one text token")
     cross = cross_attention(params_c, text, video)

@@ -15,11 +15,22 @@ updates the two roles:
 
 Both run one text body per layer (`_text_half`: norm, attention, MLP) and
 one head (`_head`: final norm, tied output product), in training, prefill
-and decode alike.  Prefill runs the whole prompt once and returns a
-`DecodeContext` carrying per-layer video key/value caches and text
-self-attention caches; `decode_step` then runs each layer's text body on
-one new token with that layer's caches as its past, returning a new
-context and leaving the one it was given unchanged.
+and decode alike.  The hybrid stack (`_hybrid_stack`) runs its video rows
+group-major, for training and prefill alike: each group of
+`ssm.GROUP_ROWS` rows is taken from the stream and passes through every
+layer (norm, cross keys and values, the block from the state the group
+before left) before the next group starts; each layer's text half then
+runs once against the layer's whole video keys and values.  So a no-grad
+prefill builds no [M, d] array but the video caches, and its peak stays
+near their size.
+
+Prefill runs the whole prompt once and returns a `DecodeContext` carrying
+per-layer video key/value caches and text self-attention caches;
+`decode_step` then runs each layer's text body on one new token with that
+layer's caches as its past, returning a new context and leaving the one
+it was given unchanged.  Each layer's text output and the logits are
+checked for non-finite values on every path; a `NumericError` names the
+layer and the token's position in the stream.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import copy
 import io
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +48,7 @@ from . import attention as attn
 from . import numerics as ng
 from . import ssm as ssm_mod
 from .attention import AttentionParams, VideoKVCache
-from .numerics import ContractError, HybridSeqError, Tensor
+from .numerics import ContractError, HybridSeqError, NumericError, Tensor
 from .ssm import SSMParams
 
 __all__ = [
@@ -411,34 +423,91 @@ def _prompt_text_half(layer: Layer, x: Tensor, video, cache_sink: list | None) -
     return out
 
 
-def hybrid_layer_forward(layer: Layer, seq: TokenSequence,
-                         cache_sink: list | None = None) -> TokenSequence:
+def _checked(rows: Tensor, what: str, first: int) -> Tensor:
+    """rows, once every value is known to be finite; otherwise NumericError
+    names `what` and the stream position of the first bad row (rows[0]
+    being at `first`)."""
+    bad = ng.first_bad_row(rows.data)
+    if bad is not None:
+        raise NumericError(f"{what}: non-finite value at token {first + bad}")
+    return rows
+
+
+class _VideoHalf:
+    """One hybrid layer's video half, one row group per call (a stage of
+    `ssm.run_groups`): it norms the group's rows through the pre-attention
+    norm the text rows share, keeps their cross keys and values, and
+    returns the block's output rows (the rows themselves without a block).
+
+    Without grad the keys and values go straight into the layer's
+    head-major video cache.  Under grad each group's keys and values are
+    graph nodes, joined once the last group is in (`video`)."""
+
+    def __init__(self, layer: Layer, m: int):
+        self.layer = layer
+        self.block = None if layer.mamba is None else ssm_mod.BlockRun(layer.mamba)
+        self.cache = None if ng.is_grad_enabled() else attn.VideoKVCache.empty(layer.cross_attn, m)
+        self.keys: list[Tensor] = []
+        self.values: list[Tensor] = []
+
+    def __call__(self, rows: Tensor, position: int) -> Tensor:
+        layer = self.layer
+        normed = ng.layer_norm(rows, layer.attn_norm.gain, layer.attn_norm.bias)
+        if self.cache is not None:
+            self.cache.write(layer.cross_attn, normed, position)
+        else:
+            k, v = attn.key_value_rows(layer.cross_attn, normed)
+            self.keys.append(k)
+            self.values.append(v)
+        return rows if self.block is None else self.block(rows, position)
+
+    def video(self):
+        """What the layer's cross branch reads: the cache, or the joined
+        keys and values."""
+        if self.cache is not None:
+            return self.cache
+        return ng.concat_rows(self.keys), ng.concat_rows(self.values)
+
+
+def _hybrid_stack(layers: list[Layer], seq: TokenSequence, cache_sink: list | None = None,
+                  video_out: list | None = None) -> Tensor:
+    """The hybrid layers over seq, video rows group-major; returns the text
+    rows after the last layer.
+
+    Each group of `ssm.GROUP_ROWS` video rows is taken from the stream and
+    passed through every layer's video half in turn (`ssm.run_groups`), so
+    without grad no [M, d] array is built but the video caches, and under
+    grad the same order records the graph.  The video rows never read the
+    text, so each layer's text half then runs once, against the layer's
+    whole video cache (or joined keys and values).  The last layer's video
+    rows are appended group by group to `video_out` when it is given;
+    otherwise nothing keeps them.  With `cache_sink` (gradients off) each
+    layer appends its `LayerCache` (see `_prompt_text_half`).
+    """
+    m, n = seq.m, seq.n
+    x = seq.embeddings
+    halves = [_VideoHalf(layer, m) for layer in layers] if m else [None] * len(layers)
+    ssm_mod.run_groups(x, m, halves, video_out)
+    text = ng.slice_rows(x, m, m + n) if m else x
+    for i, (layer, half) in enumerate(zip(layers, halves)):
+        video = None if half is None else half.video()
+        text = _checked(_prompt_text_half(layer, text, video, cache_sink),
+                        f"layer {i} text half", m)
+    return text
+
+
+def hybrid_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
     """One hybrid layer: scan for video rows, blended attention + MLP for text.
 
     Cross-attention keys/values come from the layer-input video rows passed
     through the same pre-attention norm as the text rows, mirroring the
     baseline's shared pre-LN; the video rows themselves are updated only by
     the state-space block (or left unchanged when the block is absent).
-
-    With `cache_sink` (a list, gradients off) the layer appends its
-    `LayerCache`: the video keys/values, built once from the normed video
-    rows and read by the cross branch, and the text keys/values the self
-    branch reads.  Nothing is projected twice.
+    The one-layer case of `_hybrid_stack`.
     """
-    m, n = seq.m, seq.n
-    x = seq.embeddings
-    if m == 0:
-        return TokenSequence(_prompt_text_half(layer, x, None, cache_sink), m)
-    x_v = ng.slice_rows(x, 0, m)
-    video = ng.layer_norm(x_v, layer.attn_norm.gain, layer.attn_norm.bias)
-    if cache_sink is not None:
-        # built before the block's temporaries: allocated after them, the
-        # cache could land among their freed blocks and keep the allocator
-        # from returning that memory
-        video = attn.build_video_kv_cache(layer.cross_attn, video)
-    v_out = x_v if layer.mamba is None else ssm_mod.mamba_block_forward(layer.mamba, x_v)
-    t_out = _prompt_text_half(layer, ng.slice_rows(x, m, m + n), video, cache_sink)
-    return TokenSequence(ng.concat_rows([v_out, t_out]), m)
+    video: list[Tensor] = []
+    text = _hybrid_stack([layer], seq, video_out=video)
+    return TokenSequence(ng.concat_rows(video + [text]) if video else text, seq.m)
 
 
 def baseline_layer_forward(layer: Layer, seq: TokenSequence,
@@ -452,23 +521,33 @@ def baseline_layer_forward(layer: Layer, seq: TokenSequence,
     return TokenSequence(_prompt_text_half(layer, seq.embeddings, None, cache_sink), seq.m)
 
 
-def forward_hidden(model: Model, seq: TokenSequence,
-                   cache_sink: list | None = None) -> TokenSequence:
-    """All layers; returns the final TokenSequence.
+def _last_rows(model: Model, seq: TokenSequence, cache_sink: list | None = None,
+               video_out: list | None = None) -> Tensor:
+    """All layers over seq; returns the rows after the last layer that the
+    head may read: the whole stream on the baseline, the text rows on the
+    hybrid (see `_hybrid_stack` for `cache_sink` and `video_out`)."""
+    if model.config.architecture == ARCH_HYBRID:
+        return _hybrid_stack(model.layers, seq, cache_sink, video_out)
+    x = seq.embeddings
+    for i, layer in enumerate(model.layers):
+        x = _checked(baseline_layer_forward(layer, TokenSequence(x, seq.m), cache_sink).embeddings,
+                     f"layer {i} text half", 0)
+    return x
 
-    `cache_sink` is handed to every layer (see `hybrid_layer_forward`)."""
-    layer_forward = (baseline_layer_forward if model.config.architecture == ARCH_BASELINE
-                     else hybrid_layer_forward)
-    cur = seq
-    for layer in model.layers:
-        cur = layer_forward(layer, cur, cache_sink)
-    return cur
+
+def forward_hidden(model: Model, seq: TokenSequence) -> TokenSequence:
+    """All layers; returns the final TokenSequence.  On the hybrid its video
+    rows are the last layer's block output, joined from its row groups."""
+    video: list[Tensor] = []
+    rows = _last_rows(model, seq, video_out=video)
+    return TokenSequence(ng.concat_rows(video + [rows]) if video else rows, seq.m)
 
 
-def _head(model: Model, h: Tensor) -> Tensor:
-    """Final norm, then the output product tied to the token table."""
+def _head(model: Model, h: Tensor, first: int) -> Tensor:
+    """Final norm, then the output product tied to the token table, over
+    rows h whose first is at stream position `first`."""
     h = ng.layer_norm(h, model.final_norm.gain, model.final_norm.bias)
-    return ng.matmul_t(h, model.token_table)
+    return _checked(ng.matmul_t(h, model.token_table), "logits", first)
 
 
 def text_logits(model: Model, seq: TokenSequence) -> Tensor:
@@ -478,7 +557,7 @@ def text_logits(model: Model, seq: TokenSequence) -> Tensor:
     the token embedding table."""
     hidden = forward_hidden(model, seq)
     m, n = seq.m, seq.n
-    return _head(model, ng.slice_rows(hidden.embeddings, m, m + n))
+    return _head(model, ng.slice_rows(hidden.embeddings, m, m + n), m)
 
 
 # --------------------------------------------------------------------------
@@ -557,13 +636,16 @@ def prefill(model: Model, seq: TokenSequence):
     The layers run once, with a cache sink: each appends its `LayerCache`,
     the video key/value cache its cross branch read and the self cache its
     text half grew from empty (text rows on the hybrid, the joint stream on
-    the baseline), so the context costs no second pass.  Runs without graph
-    recording; the head runs on the last row only."""
+    the baseline), so the context costs no second pass.  On the hybrid the
+    video runs group-major through all layers (`_hybrid_stack`), and the
+    last layer's video rows, which nothing reads, are not kept.  Runs
+    without graph recording; the head runs on the last row only."""
     m, n = seq.m, seq.n
     caches: list[LayerCache] = []
     with ng.no_grad():
-        cur = forward_hidden(model, seq, caches)
-        logits = _head(model, ng.slice_rows(cur.embeddings, m + n - 1, m + n))
+        rows = _last_rows(model, seq, caches)
+        last = rows.shape[0]
+        logits = _head(model, ng.slice_rows(rows, last - 1, last), m + n - 1)
     return logits.data[0], DecodeContext(n_text=n, caches=caches)
 
 
@@ -577,12 +659,15 @@ def decode_step(model: Model, ctx: DecodeContext, token_embedding):
     context).  `ctx` itself is left unchanged, so several continuations can
     branch from it (see `LayerCache.extended`)."""
     caches: list[LayerCache] = []
+    first = ctx.caches[0]  # the new token's position in the stream:
+    position = first.n + (0 if first.video_kv is None else first.video_kv.m)
     with ng.no_grad():
         x = ng.reshape(token_embedding, (1, model.config.d))
-        for layer, past in zip(model.layers, ctx.caches):
+        for i, (layer, past) in enumerate(zip(model.layers, ctx.caches)):
             x, cache = _text_half(layer, x, past.video_kv, past)
+            _checked(x, f"layer {i} text half", position)
             caches.append(cache)
-        logits = _head(model, x)
+        logits = _head(model, x, position)
     return logits.data[0], DecodeContext(n_text=ctx.n_text + 1, caches=caches)
 
 
@@ -607,16 +692,28 @@ def generate_greedy(model: Model, seq: TokenSequence, steps: int) -> list[int]:
 # --------------------------------------------------------------------------
 
 _MAGIC = b"HYSQCKP1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v2 appends a CRC-32 of the parameter records; v1 files still load
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    """Versioned binary: config text block, then path-sorted LE float64."""
+    """Versioned binary: config text block, then path-sorted LE float64
+    parameter records, then the CRC-32 of those records."""
     kv = model.config.to_kv()
     kv["init_seed"] = str(model.init_seed)
     config_text = "\n".join(f"{k}={v}" for k, v in sorted(kv.items()))
     config_bytes = config_text.encode("utf-8")
     params = named_parameters(model)
+
+    records = io.BytesIO()
+    for name, t in params.items():
+        nb = name.encode("utf-8")
+        records.write(struct.pack("<H", len(nb)))
+        records.write(nb)
+        records.write(struct.pack("<B", t.ndim))
+        for dim in t.shape:
+            records.write(struct.pack("<I", dim))
+        records.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    records = records.getvalue()
 
     buf = io.BytesIO()
     buf.write(_MAGIC)
@@ -624,14 +721,8 @@ def save_checkpoint(model: Model, path: str) -> None:
     buf.write(struct.pack("<Q", len(config_bytes)))
     buf.write(config_bytes)
     buf.write(struct.pack("<I", len(params)))
-    for name, t in params.items():
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", t.ndim))
-        for dim in t.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    buf.write(records)
+    buf.write(struct.pack("<I", zlib.crc32(records)))
     with open(path, "wb") as f:
         f.write(buf.getvalue())
 
@@ -643,8 +734,9 @@ def load_checkpoint(path: str, expected_config: HybridStackConfig | None = None)
 
 
 def _model_from_bytes(raw: bytes, expected_config: HybridStackConfig | None = None) -> Model:
-    """Parse a checkpoint image.  Any malformed header, config block or
-    parameter record raises FormatError; a well-formed file that does not
+    """Parse a checkpoint image (version 1 or 2).  Any malformed header,
+    config block or parameter record, or (v2) records that fail their
+    checksum, raise FormatError; a well-formed file that does not
     fit its own (or the expected) configuration raises ConfigError."""
     view = memoryview(raw)
     off = 0
@@ -666,7 +758,7 @@ def _model_from_bytes(raw: bytes, expected_config: HybridStackConfig | None = No
     if bytes(take(8)) != _MAGIC:
         raise FormatError("not a hybridseq checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<Q", take(8))
     kv = {}
@@ -685,6 +777,7 @@ def _model_from_bytes(raw: bytes, expected_config: HybridStackConfig | None = No
         raise ConfigError("checkpoint configuration does not match the expected one")
 
     (n_params,) = struct.unpack("<I", take(4))
+    records_at = off
     loaded: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (name_len,) = struct.unpack("<H", take(2))
@@ -696,6 +789,11 @@ def _model_from_bytes(raw: bytes, expected_config: HybridStackConfig | None = No
             loaded[name] = np.array(data.reshape(shape), dtype=np.float64)
         except ValueError as exc:  # more axes than numpy allows
             raise FormatError(f"checkpoint parameter {name} has shape {shape}: {exc}") from exc
+    if version >= 2:
+        records = view[records_at:off]
+        (crc,) = struct.unpack("<I", take(4))
+        if zlib.crc32(records) != crc:
+            raise FormatError("checkpoint parameter records fail their checksum")
     if off != len(raw):
         raise FormatError("checkpoint has trailing bytes")
 

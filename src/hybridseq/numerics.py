@@ -42,6 +42,7 @@ __all__ = [
     "meter_add",
     "no_grad",
     "is_grad_enabled",
+    "first_bad_row",
     "backward",
     "finite_diff_grad",
     "new_rng",
@@ -125,6 +126,16 @@ def no_grad():
         yield
     finally:
         _LOCAL.grad_enabled = prev
+
+
+def first_bad_row(*arrays: np.ndarray) -> int | None:
+    """Index of the first row that is non-finite in any of the arrays."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return None
+    bad = np.zeros(arrays[0].shape[0], dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 # Per-element FLOP charges for non-matmul primitives.  Values are a fixed

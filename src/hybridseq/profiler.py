@@ -35,7 +35,7 @@ from . import model as mod
 from . import numerics as ng
 from .model import ARCH_BASELINE, ARCH_HYBRID, BLOCK_NONE, Model
 from .numerics import ContractError, FLOP_COST
-from .ssm import _SSD_GROUP, EXPAND, SSD_CHUNK, _default_sizes
+from .ssm import EXPAND, GROUP_ROWS, SSD_CHUNK, _default_sizes
 
 __all__ = [
     "CostModel",
@@ -141,22 +141,25 @@ def _sequential_scan_values(m: int, d_inner: int, n_state: int, block: int) -> f
     return vals
 
 
-def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int) -> float:
-    """Values a recorded block keeps for its reverse pass over m rows from
-    the stream's start: the scan's, plus its activations.  The body runs
-    over groups of `_SSD_GROUP * SSD_CHUNK` rows, so the chunked scan is
-    charged per group (only the last one is padded to the chunk grid), and
-    x's row slices and the joined output are kept."""
+def _block_body_values(m: int, d: int, variant: str, n_heads: int, n_state: int) -> float:
+    """Values a recorded block body keeps for its reverse pass over m rows
+    from the stream's start: the scan's, plus its activations.  The body
+    runs over groups of `GROUP_ROWS` rows, so the chunked scan is charged
+    per group (only the last one is padded to the chunk grid)."""
     d_inner = EXPAND * d
-    size = _SSD_GROUP * SSD_CHUNK
     if variant == "mamba1":
         vals = _sequential_scan_values(m, d_inner, n_state, SSD_CHUNK)
     else:
-        full, last = divmod(m, size)
-        vals = (full * _ssd_scan_values(size, d_inner, n_heads, n_state, SSD_CHUNK)
+        full, last = divmod(m, GROUP_ROWS)
+        vals = (full * _ssd_scan_values(GROUP_ROWS, d_inner, n_heads, n_state, SSD_CHUNK)
                 + _ssd_scan_values(last, d_inner, n_heads, n_state, SSD_CHUNK))
-    vals += m * (10.0 * d_inner + 4 * d + 1)  # norm, projections, conv, SiLUs, gate, residual
-    return vals + 2.0 * m * d
+    return vals + m * (10.0 * d_inner + 4 * d + 1)  # norm, projections, conv, SiLUs, gate, residual
+
+
+def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int) -> float:
+    """Values a recorded `mamba_block_forward` keeps over m rows: the body's,
+    plus x's row slices and the joined output."""
+    return _block_body_values(m, d, variant, n_heads, n_state) + 2.0 * m * d
 
 
 def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: int) -> float:
@@ -246,7 +249,7 @@ class CostModel:
         of every head, which attention keeps for its reverse pass (its
         scores are not kept).  The hybrid instead retains M x N cross and
         N^2 self probabilities, and what its block keeps for the reverse
-        pass (`_mamba_block_values`): its activations plus, for mamba1, the
+        pass (`_block_body_values`): its activations plus, for mamba1, the
         sequential scan's per-step stages and states
         (`_sequential_scan_values`), for mamba2 the chunked scan's
         per-chunk tensors and boundary states per row group
@@ -265,13 +268,16 @@ class CostModel:
             return vals + self.layers * (1.0 * h * r * r + r * row)
         per_layer = 1.0 * h * n * n + n * row
         if m > 0:
-            # cross probabilities; a text row's slice, cross q, merged heads,
-            # output product and the blend's three arrays; a video row's
-            # slice, norm, cross key and value; the joined output
-            per_layer += 1.0 * h * m * n + 7.0 * n * d + m * (5.0 * d + 1) + r * d
+            # once: the video row groups and the text rows sliced from the
+            # stream, and the last layer's rows joined
+            vals += 2.0 * r * d
+            # per layer: cross probabilities; a text row's cross q, merged
+            # heads, output product and the blend's three arrays; a video
+            # row's norm, its cross key and value and their joined copies
+            per_layer += 1.0 * h * m * n + 6.0 * n * d + m * (6.0 * d + 1)
         if self.block_variant != BLOCK_NONE:
             n_state, n_heads = self._block_sizes()
-            per_layer += _mamba_block_values(m, d, self.block_variant, n_heads, n_state)
+            per_layer += _block_body_values(m, d, self.block_variant, n_heads, n_state)
         return vals + self.layers * per_layer
 
 

@@ -15,13 +15,18 @@ input.
 
 Which scan runs where:
 
-* `mamba_block_forward` takes a whole stream from a zero state.  It runs
-  its whole body (norm, projection, convolution, scan, gate, output
-  projection, residual) over row groups of `_SSD_GROUP * SSD_CHUNK` rows.
-  A group hands the next one the SSM state and the convolution tail (the
-  last 3 raw branch inputs) as graph nodes, so gradients cross group
-  boundaries.  No matrix product in the block sees more than one group's
-  rows.
+* `run_groups` is the one loop over row groups of `GROUP_ROWS`
+  (`_SSD_GROUP * SSD_CHUNK`) rows: it slices each group from the stream
+  and passes it through a list of stages in turn.  A `BlockRun` is one
+  block as such a stage: it runs the whole body (`_block_rows`: norm,
+  projection, convolution, scan, gate, output projection, residual) on a
+  group and hands the next group the SSM state and the convolution tail
+  (the last 3 raw branch inputs) as graph nodes, so gradients cross group
+  boundaries.  The hybrid model runs one stage per layer, so a group
+  passes through every layer before the next one starts;
+  `mamba_block_forward` takes a whole stream from a zero state as the
+  one-stage case and joins the groups' outputs.  No matrix product in the
+  block sees more than one group's rows.
 * Within a group, mamba2 runs the chunked core (`_ssd_rows`) and mamba1
   the per-step scan (`_sequential_rows`), in prefill, evaluation and
   training alike.  Both walk the group `SSD_CHUNK` rows at a time, and
@@ -64,6 +69,9 @@ __all__ = [
     "linear_recurrence",
     "scan_sequential",
     "scan_chunked_ssd",
+    "GROUP_ROWS",
+    "BlockRun",
+    "run_groups",
     "mamba_block_forward",
     "init_ssm_params",
 ]
@@ -75,6 +83,7 @@ CONV_WIDTH = 4
 EXPAND = 2
 SSD_CHUNK = 64  # rows per chunk of both scans
 _SSD_GROUP = 4  # chunks per row group of the block
+GROUP_ROWS = _SSD_GROUP * SSD_CHUNK  # rows per group of `run_groups`
 
 
 # --------------------------------------------------------------------------
@@ -291,17 +300,6 @@ def _selective_inputs(params: SSMParams, x: Tensor):
     return delta, b, c
 
 
-def _first_bad_row(*arrays: np.ndarray) -> int | None:
-    """Index of the first row that is non-finite in any of the arrays."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        if all(np.isfinite(a.sum()) for a in arrays):  # NaN and inf survive a sum
-            return None
-    bad = np.zeros(arrays[0].shape[0], dtype=bool)
-    for a in arrays:
-        bad |= ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def _scan_start(params: SSMParams):
     """a = -exp(a_log) laid out as the scans read it, and the zero state.
 
@@ -345,7 +343,7 @@ def _sequential_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, pos
     for lo in range(0, T, SSD_CHUNK):
         hi = min(lo + SSD_CHUNK, T)
         y, s_all = _scan_rows(params, a_neg, ng.slice_rows(x, lo, hi), s)
-        bad = _first_bad_row(s_all.data, y.data)
+        bad = ng.first_bad_row(s_all.data, y.data)
         if bad is not None:
             raise NumericError(f"scan produced non-finite state at token {position + lo + bad}")
         s = ng.reshape(ng.slice_rows(s_all, hi - lo - 1, hi - lo), s.shape)
@@ -473,7 +471,7 @@ def _ssd_rows(params: SSMParams, a_neg: Tensor, x: Tensor, h: Tensor, position: 
     delta, b, c = _selective_inputs(params, x)
     da = ng.mul(delta, a_neg)  # [T, h], all entries < 0
     xdt = ng.mul(ng.reshape(x, (T, hh, p)), ng.reshape(delta, (T, hh, 1)))  # [T, h, p]
-    bad = _first_bad_row(da.data, b.data, c.data, xdt.data)
+    bad = ng.first_bad_row(da.data, b.data, c.data, xdt.data)
     if bad is not None:
         raise NumericError(f"scan produced non-finite state at token {position + bad}")
 
@@ -485,7 +483,7 @@ def _ssd_rows(params: SSMParams, a_neg: Tensor, x: Tensor, h: Tensor, position: 
     if pad:
         y = ng.slice_rows(y, 0, T)
 
-    bad = _first_bad_row(y.data)
+    bad = ng.first_bad_row(y.data)
     if bad is None and not np.all(np.isfinite(h.data)):
         bad = T - 1
     if bad is not None:
@@ -603,6 +601,41 @@ def _block_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, tail,
     return ng.add(x, out), s, tail
 
 
+class BlockRun:
+    """One block's pass over a stream, one row group per call: each call
+    runs the body (`_block_rows`) on the group's rows from the SSM state and
+    convolution tail the call before left, starting from a zero state."""
+
+    def __init__(self, params: SSMParams):
+        self.params = params
+        self.a_neg, self.s = _scan_start(params)
+        self.tail = np.zeros((CONV_WIDTH - 1, params.d_inner))
+
+    def __call__(self, x: Tensor, position: int) -> Tensor:
+        y, self.s, self.tail = _block_rows(self.params, self.a_neg, x, self.s, self.tail,
+                                           position)
+        return y
+
+
+def run_groups(x: Tensor, rows: int, stages, out: list | None = None) -> None:
+    """The first `rows` rows of x, one group of `GROUP_ROWS` at a time,
+    through every stage in turn.
+
+    Each group is sliced straight from x; a stage is called as
+    stage(group rows, the group's first row) and returns the rows the next
+    stage takes.  With `out` the last stage's rows of each group are
+    appended to it.  So, without grad, only one group's rows and
+    temporaries are alive at a time, whatever the number of stages; under
+    grad the calls record one graph, with whatever a stage carries from one
+    group to the next as its nodes."""
+    for lo in range(0, rows, GROUP_ROWS):
+        y = ng.slice_rows(x, lo, min(lo + GROUP_ROWS, rows))
+        for stage in stages:
+            y = stage(y, lo)
+        if out is not None:
+            out.append(y)
+
+
 def mamba_block_forward(params: SSMParams, x: Tensor) -> Tensor:
     """Full residual block over a whole stream x [T, d_model] from a zero
     state.
@@ -612,10 +645,10 @@ def mamba_block_forward(params: SSMParams, x: Tensor) -> Tensor:
     selective scan -> SiLU-gated multiply -> output projection -> residual.
     Causal end to end.
 
-    The body runs over groups of `_SSD_GROUP * SSD_CHUNK` rows.  Each group
-    starts from the SSM state and convolution tail the group before left,
-    passed on as graph nodes, so gradients cross group boundaries and,
-    without grad, only one group's temporaries are alive at a time.
+    The one-stage case of `run_groups`: the body runs over groups of
+    `GROUP_ROWS` rows (`BlockRun`), each starting from the SSM state and
+    convolution tail the group before left, passed on as graph nodes, and
+    the groups' outputs are joined.
     """
     if x.shape[1] != params.d_model:
         raise ContractError(
@@ -623,13 +656,6 @@ def mamba_block_forward(params: SSMParams, x: Tensor) -> Tensor:
         )
     if x.shape[0] == 0:
         raise ContractError("the block needs at least one row")
-    a_neg, s = _scan_start(params)
-    tail = np.zeros((CONV_WIDTH - 1, params.d_inner))
-
-    T, size = x.shape[0], _SSD_GROUP * SSD_CHUNK
-    ys = []
-    for lo in range(0, T, size):
-        rows = ng.slice_rows(x, lo, min(lo + size, T))
-        y, s, tail = _block_rows(params, a_neg, rows, s, tail, lo)
-        ys.append(y)
+    ys: list[Tensor] = []
+    run_groups(x, x.shape[0], [BlockRun(params)], ys)
     return ng.concat_rows(ys)

@@ -488,7 +488,7 @@ class TestAttendCore:
         q, keys = rng.standard_normal((lq, 8)), rng.standard_normal((lk, 8))
         allowed = rng.integers(0, lk, size=lq)
         assert np.any(np.diff(allowed) < 0)
-        kernel_against_tape(p, lambda a, b: attn_mod._mha(p, a, attn_mod._projected(p, b),
+        kernel_against_tape(p, lambda a, b: attn_mod._mha(p, a, attn_mod.key_value_rows(p, b),
                                                           allowed, "test"),
                             lambda a, b: mha_tape(p, a, [b], allowed), q, keys)
 
@@ -547,7 +547,7 @@ class TestAttendCore:
         with ng.no_grad():
             inline = cross_attention(p, Tensor(x_ln[-1:]), Tensor(x_ln))
             causal_last = attn_mod._mha(p, Tensor(x_ln[-1:]),
-                                        attn_mod._projected(p, Tensor(x_ln)),
+                                        attn_mod.key_value_rows(p, Tensor(x_ln)),
                                         np.array([29]), "test")
             branch = attn_mod._mha(p, Tensor(x_ln[-1:]), (cache.k, cache.v),
                                    np.array([29]), "test")

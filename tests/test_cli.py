@@ -202,7 +202,7 @@ class TestTrainCommand:
         assert manifest["command"] == "train"
         assert manifest["seed"] == 3
         assert manifest["config"]["arch"] == "transformer_baseline"
-        assert manifest["format_versions"]["checkpoint"] == 1
+        assert manifest["format_versions"]["checkpoint"] == 2
 
     def test_instruct_rejects_lambda(self, tmp_path):
         code = run(BASE_TRAIN + ["--out", str(tmp_path / "x"), "--lambda", "0.5"])
@@ -292,6 +292,21 @@ class TestEvalCommand:
         capsys.readouterr()
         assert run(["eval", "--ckpt", ckpt, "--M", "6", "--out", str(tmp_path / "e")]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_flipped_payload_byte_exit_3(self, tmp_path, capsys):
+        # one bit of one float of the last parameter record: still a finite
+        # value of the right shape, caught by the records' checksum
+        out1 = str(tmp_path / "t")
+        assert run(BASE_TRAIN + ["--out", out1, "--seed", "8"]) == 0
+        ckpt = os.path.join(out1, "model.ckpt")
+        raw = bytearray(open(ckpt, "rb").read())
+        raw[-4 - 8] ^= 0x01  # the low byte of the last float
+        with open(ckpt, "wb") as f:
+            f.write(bytes(raw))
+        capsys.readouterr()
+        assert run(["eval", "--ckpt", ckpt, "--M", "6", "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert "checksum" in err and "Traceback" not in err
 
     def test_non_finite_checkpoint_exit_3(self, tmp_path, capsys):
         out1 = str(tmp_path / "t")

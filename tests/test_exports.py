@@ -4,8 +4,8 @@ never names something that is gone.  The package itself declares no
 one of those fails the import.  Likewise every function the benchmark's
 tracer wraps (`perfbench/workloads.py`'s `TRACED`) still exists."""
 
-import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 
@@ -24,28 +24,17 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
-def traced_targets():
-    """(owner, attribute) of every `TRACED` entry, read from the source
-    without importing the benchmark: owner is a dotted path under the
-    package, such as "training.AdamW"."""
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
-    with open(path, encoding="utf-8") as f:
-        tree = ast.parse(f.read())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
-            return [(ast.unparse(e.elts[0]), e.elts[1].value) for e in node.value.elts]
-    raise AssertionError("perfbench/workloads.py defines no TRACED list")
-
-
-def test_traced_functions_resolve():
-    targets = traced_targets()
-    assert targets
-    missing = []
-    for owner, attr in targets:
-        obj = hybridseq
-        for part in owner.split("."):
-            obj = getattr(obj, part, None)
-        if not callable(getattr(obj, attr, None)):
-            missing.append(f"{owner}.{attr}")
+def test_traced_functions_resolve(monkeypatch):
+    # `run.py --trace 1` wraps each (owner, attribute) with getattr and
+    # crashes on a missing one, so the benchmark module itself is loaded,
+    # as run.py loads it, with its own directory on the path
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.TRACED
+    missing = [name for owner, attr, name in workloads.TRACED
+               if not callable(getattr(owner, attr, None))]
     assert missing == []

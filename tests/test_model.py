@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hybridseq import attention as attn_mod
 from hybridseq import model as mod
 from hybridseq import numerics as ng
 from hybridseq import ssm as ssm_mod
+from hybridseq import training
 from hybridseq.model import (
     ARCH_BASELINE,
     ARCH_HYBRID,
@@ -570,6 +572,24 @@ class TestCheckpoint:
         save_checkpoint(build_model(small_config(d=4, n_layers=1, vocab_size=5), seed=36), str(path))
         return path.read_bytes()
 
+    @staticmethod
+    def _layout(raw):
+        """The byte indices of a v2 image outside the float payloads (magic,
+        version, config block, parameter count, each record's name length,
+        name, rank and shape, the checksum), and those inside them."""
+        (cfg_len,) = struct.unpack("<Q", raw[12:20])
+        off = 20 + cfg_len + 4
+        meta, payload = list(range(off)), []
+        records_end = len(raw) - 4
+        while off < records_end:
+            (name_len,) = struct.unpack("<H", raw[off : off + 2])
+            ndim = raw[off + 2 + name_len]
+            end = off + 3 + name_len + 4 * ndim
+            meta += range(off, end)
+            off = end + 8 * math.prod(struct.unpack(f"<{ndim}I", raw[end - 4 * ndim : end]))
+            payload += range(end, off)
+        return meta + list(range(records_end, len(raw))), payload
+
     def test_truncation_at_every_byte_raises_format_error(self, tmp_path):
         raw = self._tiny_image(tmp_path)
         for k in range(len(raw)):
@@ -581,15 +601,7 @@ class TestCheckpoint:
         # the load succeeds or raises FormatError or ConfigError (both exit
         # 3), never UnicodeDecodeError, ValueError or the like
         raw = self._tiny_image(tmp_path)
-        (cfg_len,) = struct.unpack("<Q", raw[12:20])
-        off = 20 + cfg_len + 4
-        meta = list(range(off))  # magic, version, config block, parameter count
-        while off < len(raw):
-            (name_len,) = struct.unpack("<H", raw[off : off + 2])
-            ndim = raw[off + 2 + name_len]
-            end = off + 3 + name_len + 4 * ndim
-            meta += range(off, end)  # name length, name, rank, shape
-            off = end + 8 * math.prod(struct.unpack(f"<{ndim}I", raw[end - 4 * ndim : end]))
+        meta, _ = self._layout(raw)
         raised = set()
         for i in meta:
             for value in {raw[i] ^ 0xFF, raw[i] ^ 0x01, ord("0")} - {raw[i]}:
@@ -600,6 +612,32 @@ class TestCheckpoint:
                 except (FormatError, ConfigError) as exc:
                     raised.add(type(exc))
         assert raised == {FormatError, ConfigError}
+
+    def test_version_1_files_still_load(self, tmp_path):
+        # a v1 image is a v2 image with version 1 and no checksum
+        model = build_model(small_config(), seed=37, mamba_out_std=0.1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack("<I", raw[8:12]) == (2,)
+        raw[8:12] = struct.pack("<I", 1)
+        loaded = mod._model_from_bytes(bytes(raw[:-4]))
+        for name, t in named_parameters(model).items():
+            assert np.array_equal(t.data, named_parameters(loaded)[name].data), name
+        with pytest.raises(FormatError):  # a v1 image carries no checksum
+            mod._model_from_bytes(bytes(raw))
+
+    def test_flipped_payload_bytes_fail_the_checksum(self, tmp_path):
+        # a flipped low bit leaves a finite float of the right shape, which
+        # only the checksum catches; every 7th payload byte, in every record
+        raw = self._tiny_image(tmp_path)
+        _, payload = self._layout(raw)
+        assert len(payload) > 1000
+        for i in payload[::7]:
+            bad = bytearray(raw)
+            bad[i] ^= 0x01
+            with pytest.raises(FormatError, match="checksum"):
+                mod._model_from_bytes(bytes(bad))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_fails_on_load(self, tmp_path, bad):
@@ -772,3 +810,121 @@ class TestNonFiniteAttention:
             prefill(model, seq)
         with pytest.raises(ng.NumericError, match="attention.*query row 0"):
             decode_step(model, ctx, model.token_table.data[1])
+
+
+def layer_major_text_logits(model, seq):
+    """The hybrid written layer by layer over whole streams: each layer's
+    block over all video rows, its cross branch over all normed video rows,
+    and the joined stream passed on (the order before the stack ran its
+    video rows one group at a time through all layers)."""
+    m, n = seq.m, seq.n
+    x = seq.embeddings
+    for layer in model.layers:
+        x_v, x_t = ng.slice_rows(x, 0, m), ng.slice_rows(x, m, m + n)
+        norm = layer.attn_norm
+        v_out = ssm_mod.mamba_block_forward(layer.mamba, x_v)
+        a_out = attn_mod.blended_text_update(
+            layer.self_attn, layer.cross_attn, ng.sigmoid(layer.self_attn.alpha_raw),
+            ng.layer_norm(x_v, norm.gain, norm.bias), ng.layer_norm(x_t, norm.gain, norm.bias))
+        mid = ng.add(x_t, a_out)
+        mlp_in = ng.layer_norm(mid, layer.mlp_norm.gain, layer.mlp_norm.bias)
+        x = ng.concat_rows([v_out, ng.add(mid, mod._mlp_forward(layer.mlp, mlp_in))])
+    h = ng.layer_norm(ng.slice_rows(x, m, m + n), model.final_norm.gain, model.final_norm.bias)
+    return ng.matmul_t(h, model.token_table)
+
+
+class TestGroupMajorStack:
+    """The hybrid runs its video rows one group at a time through all
+    layers; the values and gradients are those of the layer-major order."""
+
+    M = 2 * ssm_mod.GROUP_ROWS + 37  # three groups, the last one partial
+
+    def test_no_grad_prefill_peaks_near_its_video_cache(self):
+        # no [M, d] array is built but the caches, so the peak above the
+        # input is the caches plus one group's temporaries
+        model = build_model(HybridStackConfig(), seed=0, mamba_out_std=0.02)
+        seq = random_sequence(model, m=32768, n=64, seed=1)
+        tracemalloc.start()
+        try:
+            _, ctx = prefill(model, seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kv = sum(c.video_kv.k.nbytes + c.video_kv.v.nbytes for c in ctx.caches)
+        assert peak <= 1.3 * kv, f"peak {peak / 2**20:.1f} MB, video cache {kv / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("block", ["mamba2", "mamba1"])
+    def test_logits_and_gradients_match_the_layer_major_order(self, block):
+        cfg = small_config(block=block, d=16)
+        model = build_model(cfg, seed=81, mamba_out_std=0.3)
+        seq = random_sequence(model, m=self.M, n=5, seed=82)
+        targets = ng.new_rng(83).integers(0, cfg.vocab_size, size=5)
+        params = named_parameters(model)
+        grads, logits = {}, {}
+        for name, forward in (("stack", text_logits), ("layer_major", layer_major_text_logits)):
+            for p in params.values():
+                p.grad = None
+            logits[name] = forward(model, seq)
+            backward(training.lm_loss(logits[name], targets))
+            grads[name] = {k: p.grad for k, p in params.items()}
+        ref = logits["layer_major"].data
+        assert np.max(np.abs(logits["stack"].data - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for k, g in grads["layer_major"].items():
+            got = grads["stack"][k]
+            assert np.max(np.abs(got - g)) <= 1e-12 * np.max(np.abs(g)), k
+        # every block's parameters, the last layer's too, get a gradient,
+        # which is zero where nothing reads the rows
+        last = grads["stack"]["layers.1.mamba.w_out"]
+        assert last is not None and not np.any(last)
+
+    def test_decode_agrees_with_a_fresh_prefill(self):
+        cfg = small_config(d=16)
+        model = build_model(cfg, seed=84, mamba_out_std=0.3)
+        rng = ng.new_rng(85)
+        video = rng.standard_normal((self.M, cfg.d))
+        ids = list(rng.integers(0, cfg.vocab_size, size=6))
+        logits, ctx = prefill(model, make_sequence(model, video, np.array(ids)))
+        for _ in range(4):
+            ids.append(int(np.argmax(logits)))
+            logits, ctx = decode_step(model, ctx, model.token_table.data[ids[-1]])
+            fresh, _ = prefill(model, make_sequence(model, video, np.array(ids)))
+            assert np.max(np.abs(logits - fresh)) < 1e-10
+
+
+class TestNonFiniteFastPaths:
+    """Each layer's text half and the logits are checked for non-finite
+    values in prefill, decode and `text_logits`; the error names the layer
+    and the stream position of the token."""
+
+    @staticmethod
+    def _overflow(t: Tensor) -> None:
+        t.data = np.full_like(t.data, 1e308)  # finite, as a checkpoint may hold it
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_mlp_overflow_names_the_layer_and_token(self, arch):
+        model = build_model(small_config(arch=arch), seed=86)
+        seq = random_sequence(model, m=4, n=3, seed=87)
+        _, ctx = prefill(model, seq)
+        self._overflow(model.layers[1].mlp.w2)
+        first = 4 if arch == ARCH_HYBRID else 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ng.NumericError, match=f"layer 1 text half: .* token {first}$"):
+                prefill(model, seq)
+            with pytest.raises(ng.NumericError, match=f"layer 1 text half: .* token {first}$"):
+                text_logits(model, seq)
+            with pytest.raises(ng.NumericError, match="layer 1 text half: .* token 7$"):
+                decode_step(model, ctx, model.token_table.data[1])
+
+    @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
+    def test_logit_overflow_names_the_token(self, arch):
+        model = build_model(small_config(arch=arch), seed=88)
+        seq = random_sequence(model, m=4, n=3, seed=89)
+        _, ctx = prefill(model, seq)
+        self._overflow(model.final_norm.gain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ng.NumericError, match="logits: .* token 6$"):
+                prefill(model, seq)
+            with pytest.raises(ng.NumericError, match="logits: .* token 4$"):
+                text_logits(model, seq)
+            with pytest.raises(ng.NumericError, match="logits: .* token 7$"):
+                decode_step(model, ctx, model.token_table.data[1])

@@ -197,17 +197,17 @@ class TestMemoryEstimate:
 
     def test_hybrid_cross_term_coefficient(self):
         # with no scan block, the M coefficient per layer is heads*N, the
-        # cross probabilities, plus what each video row keeps: its slice,
-        # its norm (output, normalized input, 1/std), its cross key and
-        # value, and its row of the joined output; and d for the joined
-        # embedding rows themselves
+        # cross probabilities, plus what each video row keeps: its norm
+        # (output, normalized input, 1/std), its cross key and value and
+        # their joined copies; and, once, d each for the joined embedding
+        # rows, the row's slice from the stream and its joined last-layer row
         d, layers, h, n = 64, 2, 4, 64
         kw = dict(d=d, layers=layers, n_heads=h, block_variant="none")
         m1, m2 = 4096, 8192
         v1 = memory_estimate(ARCH_HYBRID, m1, n, **kw)
         v2 = memory_estimate(ARCH_HYBRID, m2, n, **kw)
         coeff = (v2 - v1) / (m2 - m1)
-        assert coeff == layers * (h * n + 6 * d + 1) + d
+        assert coeff == layers * (h * n + 6 * d + 1) + 3 * d
 
     @pytest.mark.parametrize("arch,block", [(ARCH_BASELINE, "none"), (ARCH_HYBRID, "mamba2"),
                                             (ARCH_HYBRID, "none")])
