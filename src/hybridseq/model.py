@@ -13,24 +13,24 @@ updates the two roles:
   Video rows never enter the text MLP, and generated tokens are text-role
   by definition, so decoding leaves the state-space path untouched.
 
-Both run one text body per layer (`_text_half`: norm, attention, MLP) and
-one head (`_head`: final norm, tied output product), in training, prefill
-and decode alike.  The hybrid stack (`_hybrid_stack`) runs its video rows
-group-major, for training and prefill alike: each group of
-`ssm.GROUP_ROWS` rows is taken from the stream and passes through every
-layer (norm, cross keys and values, the block from the state the group
-before left) before the next group starts; each layer's text half then
-runs once against the layer's whole video keys and values.  So a no-grad
-prefill builds no [M, d] array but the video caches, and its peak stays
-near their size.
+Both run one layer stack (`_stack`), the baseline as the case with no
+video rows, and one text body per layer (`_text_half`: norm, attention,
+MLP) and one head (`_head`: final norm, tied output product), in
+training, prefill and decode alike.  The stack runs the hybrid's video
+rows group-major: each group of `ssm.GROUP_ROWS` rows is taken from the
+stream and passes through every layer (norm, cross keys and values, the
+block from the state the group before left) before the next group starts;
+each layer's text half then runs once against the layer's whole video
+keys and values.  So a no-grad prefill builds no [M, d] array but the
+video caches, and its peak stays near their size.
 
-Prefill runs the whole prompt once and returns a `DecodeContext` carrying
-per-layer video key/value caches and text self-attention caches;
-`decode_step` then runs each layer's text body on one new token with that
-layer's caches as its past, returning a new context and leaving the one
-it was given unchanged.  Each layer's text output and the logits are
-checked for non-finite values on every path; a `NumericError` names the
-layer and the token's position in the stream.
+Prefill runs the stack once and returns a `DecodeContext` carrying the
+per-layer video key/value caches and text self-attention caches the
+stack hands back; `decode_step` then runs each layer's text body on one
+new token with that layer's caches as its past, returning a new context
+and leaving the one it was given unchanged.  Each layer's text output and
+the logits are checked for non-finite values on every path; a
+`NumericError` names the layer and the token's position in the stream.
 """
 
 from __future__ import annotations
@@ -412,17 +412,6 @@ def _text_half(layer: Layer, x: Tensor, video=None,
                                                             layer.mlp_norm.bias))), cache
 
 
-def _prompt_text_half(layer: Layer, x: Tensor, video, cache_sink: list | None) -> Tensor:
-    """`_text_half` over a prompt's rows; with `cache_sink` they grow an
-    empty `LayerCache` holding `video`, which the sink receives."""
-    if cache_sink is None:
-        return _text_half(layer, x, video)[0]
-    none = np.empty((layer.self_attn.n_heads, 0, layer.self_attn.head_dim))
-    out, cache = _text_half(layer, x, video, LayerCache(video, TextRows(none, none, 0), 0))
-    cache_sink.append(cache)
-    return out
-
-
 def _checked(rows: Tensor, what: str, first: int) -> Tensor:
     """rows, once every value is known to be finite; otherwise NumericError
     names `what` and the stream position of the first bad row (rows[0]
@@ -469,31 +458,47 @@ class _VideoHalf:
         return ng.concat_rows(self.keys), ng.concat_rows(self.values)
 
 
-def _hybrid_stack(layers: list[Layer], seq: TokenSequence, cache_sink: list | None = None,
-                  video_out: list | None = None) -> Tensor:
-    """The hybrid layers over seq, video rows group-major; returns the text
-    rows after the last layer.
+def _stack(layers: list[Layer], x: Tensor, m: int, caching: bool = False,
+           video_out: list | None = None) -> tuple[Tensor, list]:
+    """The layers over the stream x whose first m rows are video; returns
+    the text rows after the last layer and the per-layer caches.
 
-    Each group of `ssm.GROUP_ROWS` video rows is taken from the stream and
-    passed through every layer's video half in turn (`ssm.run_groups`), so
-    without grad no [M, d] array is built but the video caches, and under
-    grad the same order records the graph.  The video rows never read the
-    text, so each layer's text half then runs once, against the layer's
-    whole video cache (or joined keys and values).  The last layer's video
-    rows are appended group by group to `video_out` when it is given;
-    otherwise nothing keeps them.  With `cache_sink` (gradients off) each
-    layer appends its `LayerCache` (see `_prompt_text_half`).
+    The baseline is the case m = 0: every row is a text row.  Each group of
+    `ssm.GROUP_ROWS` video rows is taken from the stream and passed through
+    every layer's video half in turn (`ssm.run_groups`), so without grad no
+    [M, d] array is built but the video caches, and under grad the same
+    order records the graph.  The video rows never read the text, so each
+    layer's text half then runs once, against the layer's whole video cache
+    (or joined keys and values).  The last layer's video rows are appended
+    group by group to `video_out` when it is given; otherwise nothing keeps
+    them.  With `caching` (gradients off) each layer's text half grows an
+    empty `LayerCache` holding its video cache, and the list holds the
+    grown ones; without, it holds None for each layer.
     """
-    m, n = seq.m, seq.n
-    x = seq.embeddings
     halves = [_VideoHalf(layer, m) for layer in layers] if m else [None] * len(layers)
     ssm_mod.run_groups(x, m, halves, video_out)
-    text = ng.slice_rows(x, m, m + n) if m else x
+    text = ng.slice_rows(x, m, x.shape[0]) if m else x
+    caches = []
     for i, (layer, half) in enumerate(zip(layers, halves)):
         video = None if half is None else half.video()
-        text = _checked(_prompt_text_half(layer, text, video, cache_sink),
-                        f"layer {i} text half", m)
-    return text
+        past = LayerCache.empty(layer.self_attn, video) if caching else None
+        text, cache = _text_half(layer, text, video, past)
+        _checked(text, f"layer {i} text half", m)
+        caches.append(cache)
+    return text, caches
+
+
+def _joined(layers: list[Layer], seq: TokenSequence, m: int) -> TokenSequence:
+    """`_stack` over seq with its first m rows as video; returns the last
+    layer's video rows, joined from their groups, then the text rows."""
+    video: list[Tensor] = []
+    text = _stack(layers, seq.embeddings, m, video_out=video)[0]
+    return TokenSequence(ng.concat_rows(video + [text]) if video else text, seq.m)
+
+
+def _video_rows(model: Model, seq: TokenSequence) -> int:
+    """The rows of seq the stack runs as video: none on the baseline."""
+    return seq.m if model.config.architecture == ARCH_HYBRID else 0
 
 
 def hybrid_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
@@ -503,44 +508,24 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
     through the same pre-attention norm as the text rows, mirroring the
     baseline's shared pre-LN; the video rows themselves are updated only by
     the state-space block (or left unchanged when the block is absent).
-    The one-layer case of `_hybrid_stack`.
+    The one-layer case of `_stack`.
     """
-    video: list[Tensor] = []
-    text = _hybrid_stack([layer], seq, video_out=video)
-    return TokenSequence(ng.concat_rows(video + [text]) if video else text, seq.m)
+    return _joined([layer], seq, seq.m)
 
 
-def baseline_layer_forward(layer: Layer, seq: TokenSequence,
-                           cache_sink: list | None = None) -> TokenSequence:
+def baseline_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
     """One baseline layer: causal attention plus MLP over the full stream.
 
     With the video-first layout, the single causal mask gives video token i
     attention over video 1..i and text token j attention over all video
-    plus text 1..j.  With `cache_sink` (gradients off) the layer appends its
-    `LayerCache`: the keys/values of the joint stream."""
-    return TokenSequence(_prompt_text_half(layer, seq.embeddings, None, cache_sink), seq.m)
-
-
-def _last_rows(model: Model, seq: TokenSequence, cache_sink: list | None = None,
-               video_out: list | None = None) -> Tensor:
-    """All layers over seq; returns the rows after the last layer that the
-    head may read: the whole stream on the baseline, the text rows on the
-    hybrid (see `_hybrid_stack` for `cache_sink` and `video_out`)."""
-    if model.config.architecture == ARCH_HYBRID:
-        return _hybrid_stack(model.layers, seq, cache_sink, video_out)
-    x = seq.embeddings
-    for i, layer in enumerate(model.layers):
-        x = _checked(baseline_layer_forward(layer, TokenSequence(x, seq.m), cache_sink).embeddings,
-                     f"layer {i} text half", 0)
-    return x
+    plus text 1..j.  The one-layer case of `_stack` with no video rows."""
+    return _joined([layer], seq, 0)
 
 
 def forward_hidden(model: Model, seq: TokenSequence) -> TokenSequence:
     """All layers; returns the final TokenSequence.  On the hybrid its video
     rows are the last layer's block output, joined from its row groups."""
-    video: list[Tensor] = []
-    rows = _last_rows(model, seq, video_out=video)
-    return TokenSequence(ng.concat_rows(video + [rows]) if video else rows, seq.m)
+    return _joined(model.layers, seq, _video_rows(model, seq))
 
 
 def _head(model: Model, h: Tensor, first: int) -> Tensor:
@@ -586,6 +571,13 @@ class LayerCache:
     video_kv: VideoKVCache | None  # hybrid cross keys/values (immutable)
     rows: TextRows
     n: int
+
+    @classmethod
+    def empty(cls, params: AttentionParams, video_kv: VideoKVCache | None) -> "LayerCache":
+        """A cache over `video_kv` with no text rows yet: where prefill's
+        text half starts (self-attention `params` give the row shape)."""
+        none = np.empty((params.n_heads, 0, params.head_dim))
+        return cls(video_kv, TextRows(none, none, 0), 0)
 
     @property
     def text_k(self) -> np.ndarray:  # [n_heads, n, head_dim] (baseline: joint stream)
@@ -633,17 +625,17 @@ class DecodeContext:
 def prefill(model: Model, seq: TokenSequence):
     """Forward over the whole prompt; returns (last-position logits, context).
 
-    The layers run once, with a cache sink: each appends its `LayerCache`,
-    the video key/value cache its cross branch read and the self cache its
-    text half grew from empty (text rows on the hybrid, the joint stream on
-    the baseline), so the context costs no second pass.  On the hybrid the
-    video runs group-major through all layers (`_hybrid_stack`), and the
-    last layer's video rows, which nothing reads, are not kept.  Runs
-    without graph recording; the head runs on the last row only."""
+    The layers run once (`_stack` with `caching`), and each layer's cache
+    comes back with the rows: the video key/value cache its cross branch
+    read and the self cache its text half grew from empty (text rows on
+    the hybrid, the joint stream on the baseline), so the context costs no
+    second pass.  The last layer's video rows, which nothing reads, are not
+    kept.  Runs without graph recording; the head runs on the last row
+    only."""
     m, n = seq.m, seq.n
-    caches: list[LayerCache] = []
     with ng.no_grad():
-        rows = _last_rows(model, seq, caches)
+        rows, caches = _stack(model.layers, seq.embeddings, _video_rows(model, seq),
+                              caching=True)
         last = rows.shape[0]
         logits = _head(model, ng.slice_rows(rows, last - 1, last), m + n - 1)
     return logits.data[0], DecodeContext(n_text=n, caches=caches)

@@ -35,7 +35,7 @@ from . import model as mod
 from . import numerics as ng
 from .model import ARCH_BASELINE, ARCH_HYBRID, BLOCK_NONE, Model
 from .numerics import ContractError, FLOP_COST
-from .ssm import EXPAND, GROUP_ROWS, SSD_CHUNK, _default_sizes
+from .ssm import EXPAND, GROUP_ROWS, MAMBA1, MAMBA2, SSD_CHUNK, _default_sizes
 
 __all__ = [
     "CostModel",
@@ -145,14 +145,18 @@ def _block_body_values(m: int, d: int, variant: str, n_heads: int, n_state: int)
     """Values a recorded block body keeps for its reverse pass over m rows
     from the stream's start: the scan's, plus its activations.  The body
     runs over groups of `GROUP_ROWS` rows, so the chunked scan is charged
-    per group (only the last one is padded to the chunk grid)."""
+    per group (only the last one is padded to the chunk grid, and no group
+    is empty).  With no rows the body never runs and keeps nothing."""
+    if m == 0:
+        return 0.0
     d_inner = EXPAND * d
-    if variant == "mamba1":
+    if variant == MAMBA1:
         vals = _sequential_scan_values(m, d_inner, n_state, SSD_CHUNK)
     else:
         full, last = divmod(m, GROUP_ROWS)
-        vals = (full * _ssd_scan_values(GROUP_ROWS, d_inner, n_heads, n_state, SSD_CHUNK)
-                + _ssd_scan_values(last, d_inner, n_heads, n_state, SSD_CHUNK))
+        vals = full * _ssd_scan_values(GROUP_ROWS, d_inner, n_heads, n_state, SSD_CHUNK)
+        if last:
+            vals += _ssd_scan_values(last, d_inner, n_heads, n_state, SSD_CHUNK)
     return vals + m * (10.0 * d_inner + 4 * d + 1)  # norm, projections, conv, SiLUs, gate, residual
 
 
@@ -168,7 +172,7 @@ def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: 
     if m == 0:
         return 0.0
     d_inner = EXPAND * d
-    n_delta = d_inner if variant == "mamba1" else n_heads_ssm
+    n_delta = d_inner if variant == MAMBA1 else n_heads_ssm
     fl = _ln_flops(m, d)
     fl += 2.0 * m * d * 2 * d_inner  # input projection to [ssm | gate]
     fl += m * d_inner * (4 + 3)  # conv taps: 4 muls, 3 adds per element
@@ -176,7 +180,7 @@ def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: 
     fl += 2.0 * m * d_inner * n_delta + FLOP_COST["softplus"] * float(m) * n_delta
     fl += m * n_delta  # delta bias add
     fl += 2.0 * 2 * m * d_inner * n_state  # B and C projections
-    if variant == "mamba1":
+    if variant == MAMBA1:
         fl += 2.0 * d_inner * n_state  # a = -exp(a_log)
         fl += float((8 + 2) * d_inner * n_state) * m  # recurrence + readout
     else:
@@ -189,7 +193,11 @@ def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: 
 
 @dataclass
 class CostModel:
-    """Closed-form pre-fill cost for one architecture at fixed widths."""
+    """Closed-form pre-fill cost for one architecture at fixed widths.
+
+    Both architectures run one layer stack, the baseline as the stack with
+    no video rows (`_stack_rows`), so the per-layer terms have one formula;
+    the token rows and the head keep the sequence's own (m, n)."""
 
     architecture: str
     d: int = 64
@@ -197,8 +205,21 @@ class CostModel:
     n_heads: int = 4
     vocab_size: int = 256
     mlp_ratio: int = 4
-    block_variant: str = "mamba2"
+    block_variant: str = MAMBA2
     n_state: int | None = None  # None: the variant's default, as the block picks it
+
+    def __post_init__(self):
+        if self.block_variant not in (MAMBA1, MAMBA2, BLOCK_NONE):
+            raise ContractError(f"unknown block variant {self.block_variant!r}")
+
+    def _stack_rows(self, m: int, n: int) -> tuple[int, int]:
+        """The (video, text) rows the layer stack runs for m video and n
+        text rows: every row is a text row on the baseline."""
+        if self.architecture == ARCH_HYBRID:
+            return m, n
+        if self.architecture == ARCH_BASELINE:
+            return 0, m + n
+        raise ContractError(f"unknown architecture {self.architecture!r}")
 
     def _block_sizes(self) -> tuple[int, int]:
         """The block's (n_state, heads), read from `ssm` where not given."""
@@ -207,39 +228,21 @@ class CostModel:
 
     def flops(self, m: int, n: int) -> float:
         d, h = self.d, self.n_heads
-        total = 0.0
-        if self.architecture == ARCH_BASELINE:
-            r = m + n
-            per_layer = (
-                _ln_flops(r, d)
-                + _attention_flops(r, r, d, h)
-                + r * d  # attention residual
-                + _ln_flops(r, d)
-                + _mlp_flops(r, d, self.mlp_ratio)
-                + r * d  # mlp residual
-            )
-            total = self.layers * per_layer
-        elif self.architecture == ARCH_HYBRID:
-            per_layer = 0.0
-            if self.block_variant != BLOCK_NONE:
-                per_layer += _mamba_block_flops(m, d, self.block_variant, *self._block_sizes())
-            per_layer += _ln_flops(n, d)  # text pre-attention norm
-            if m > 0:
-                per_layer += _ln_flops(m, d)  # video rows feeding cross keys
-                per_layer += _attention_flops(n, m, d, h)  # cross branch
-                per_layer += _attention_flops(n, n, d, h)  # self branch
-                # blend: sigmoid + (1-a), two scalar-tensor muls and one add
-                per_layer += FLOP_COST["sigmoid"] + 1 + 3.0 * n * d
-            else:
-                per_layer += _attention_flops(n, n, d, h)
-            per_layer += n * d  # attention residual
-            per_layer += _ln_flops(n, d) + _mlp_flops(n, d, self.mlp_ratio) + n * d
-            total = self.layers * per_layer
-        else:
-            raise ContractError(f"unknown architecture {self.architecture!r}")
+        mv, nt = self._stack_rows(m, n)
+        per_layer = 0.0
+        if self.block_variant != BLOCK_NONE:
+            per_layer += _mamba_block_flops(mv, d, self.block_variant, *self._block_sizes())
+        per_layer += _ln_flops(nt, d)  # text pre-attention norm
+        per_layer += _attention_flops(nt, nt, d, h)  # self branch
+        if mv > 0:
+            per_layer += _ln_flops(mv, d)  # video rows feeding cross keys
+            per_layer += _attention_flops(nt, mv, d, h)  # cross branch
+            # blend: sigmoid + (1-a), two scalar-tensor muls and one add
+            per_layer += FLOP_COST["sigmoid"] + 1 + 3.0 * nt * d
+        per_layer += nt * d  # attention residual
+        per_layer += _ln_flops(nt, d) + _mlp_flops(nt, d, self.mlp_ratio) + nt * d
         # final norm + output head on the last text position
-        total += _ln_flops(1, d) + 2.0 * d * self.vocab_size
-        return total
+        return self.layers * per_layer + _ln_flops(1, d) + 2.0 * d * self.vocab_size
 
     def memory_values(self, m: int, n: int) -> float:
         """Live float64 activation values with reverse-pass retention: what
@@ -247,37 +250,36 @@ class CostModel:
 
         The quadratic culprit is retained per layer: the probability matrix
         of every head, which attention keeps for its reverse pass (its
-        scores are not kept).  The hybrid instead retains M x N cross and
-        N^2 self probabilities, and what its block keeps for the reverse
-        pass (`_block_body_values`): its activations plus, for mamba1, the
-        sequential scan's per-step stages and states
-        (`_sequential_scan_values`), for mamba2 the chunked scan's
-        per-chunk tensors and boundary states per row group
+        scores are not kept), over every row on the baseline.  The hybrid
+        instead retains M x N cross and N^2 self probabilities, and what its
+        block keeps for the reverse pass (`_block_body_values`): its
+        activations plus, for mamba1, the sequential scan's per-step stages
+        and states (`_sequential_scan_values`), for mamba2 the chunked
+        scan's per-chunk tensors and boundary states per row group
         (`_ssd_scan_values`).
         """
         d, h = self.d, self.n_heads
         r = m + n
-        # a text-half row (every row on the baseline): two norms (output,
-        # normalized input, 1/std), two residuals, the MLP's four [ff] arrays
-        # (product, biased, GELU, its kept Phi) and two [d] outputs, and the
-        # self branch's q, k, v, merged heads and output product
-        row = 13.0 * d + 4 * self.mlp_ratio * d + 2
+        mv, nt = self._stack_rows(m, n)
         # token rows (joined after the video), head rows, final norm, logits
         vals = n * (4.0 * d + 1 + self.vocab_size) + (r * d if m else 0)
-        if self.architecture == ARCH_BASELINE:
-            return vals + self.layers * (1.0 * h * r * r + r * row)
-        per_layer = 1.0 * h * n * n + n * row
-        if m > 0:
+        # a text-half row: two norms (output, normalized input, 1/std), two
+        # residuals, the MLP's four [ff] arrays (product, biased, GELU, its
+        # kept Phi) and two [d] outputs, and the self branch's q, k, v,
+        # merged heads and output product
+        row = 13.0 * d + 4 * self.mlp_ratio * d + 2
+        per_layer = 1.0 * h * nt * nt + nt * row
+        if mv > 0:
             # once: the video row groups and the text rows sliced from the
             # stream, and the last layer's rows joined
             vals += 2.0 * r * d
             # per layer: cross probabilities; a text row's cross q, merged
             # heads, output product and the blend's three arrays; a video
             # row's norm, its cross key and value and their joined copies
-            per_layer += 1.0 * h * m * n + 6.0 * n * d + m * (6.0 * d + 1)
+            per_layer += 1.0 * h * mv * nt + 6.0 * nt * d + mv * (6.0 * d + 1)
         if self.block_variant != BLOCK_NONE:
             n_state, n_heads = self._block_sizes()
-            per_layer += _block_body_values(m, d, self.block_variant, n_heads, n_state)
+            per_layer += _block_body_values(mv, d, self.block_variant, n_heads, n_state)
         return vals + self.layers * per_layer
 
 

@@ -294,7 +294,7 @@ def spy_on_projection(tensor, name, log):
 
 
 class TestPrefillWritesCaches:
-    """Prefill is the layer forward with a cache sink: one pass, metered."""
+    """Prefill is the layer stack run with caching: one pass, metered."""
 
     @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
     def test_each_row_is_projected_once_per_layer(self, arch):
@@ -347,14 +347,14 @@ class TestPrefillWritesCaches:
     def test_prefill_meters_what_the_forward_meters(self, arch):
         model = build_model(small_config(arch=arch), seed=75)
         seq = random_sequence(model, m=9, n=4, seed=76)
-        with ng.count_flops() as with_sink:
+        with ng.count_flops() as caching:
             prefill(model, seq)
         with ng.no_grad(), ng.count_flops() as without:
             forward_hidden(model, seq)
         # plus the head on the last row: final norm and the tied product
         d, vocab = model.config.d, model.config.vocab_size
         head = {"layer_norm": 8 * d, "matmul": 2 * d * vocab}
-        assert with_sink.by_kind == {k: c + head.get(k, 0) for k, c in without.by_kind.items()}
+        assert caching.by_kind == {k: c + head.get(k, 0) for k, c in without.by_kind.items()}
 
     @pytest.mark.parametrize("arch,m,layers_flops", [(ARCH_HYBRID, 1024, 385_278_106),
                                                      (ARCH_BASELINE, 512, 300_441_600)])
@@ -751,6 +751,26 @@ class TestTextOnlyHybrid:
         step, _ = decode_step(hyb, got[ARCH_HYBRID][2], hyb.token_table.data[5])
         fresh, _ = prefill(hyb, make_sequence(hyb, None, np.append(ids, 5)))
         assert np.max(np.abs(step - fresh)) < 1e-13
+
+    def test_baseline_is_the_stack_with_no_video_rows(self):
+        # the baseline over m video and n text rows runs what its grafted
+        # hybrid runs over the same m + n rows taken as text, bit for bit,
+        # in training, prefill and decode
+        base = build_model(small_config(arch=ARCH_BASELINE), seed=93)
+        hyb = hybrid_from_baseline(base, small_config(), seed=94, mamba_out_std=0.2)
+        seq = random_sequence(base, m=300, n=5, seed=95)
+        as_text = TokenSequence(seq.embeddings, 0)
+        assert np.array_equal(forward_hidden(base, seq).embeddings.data,
+                              forward_hidden(hyb, as_text).embeddings.data)
+        assert np.array_equal(text_logits(base, seq).data, text_logits(hyb, as_text).data[300:])
+        (lb, cb), (lh, ch) = prefill(base, seq), prefill(hyb, as_text)
+        assert np.array_equal(lb, lh)
+        for got, want in zip(ch.caches, cb.caches):
+            assert got.video_kv is None and want.video_kv is None
+            assert np.array_equal(got.text_k, want.text_k)
+            assert np.array_equal(got.text_v, want.text_v)
+        token = base.token_table.data[3]
+        assert np.array_equal(decode_step(base, cb, token)[0], decode_step(hyb, ch, token)[0])
 
 
 class TestDecodeBranching:

@@ -50,6 +50,13 @@ class TestAnalyticCost:
         f_h = analytic_cost(ARCH_HYBRID, 0, 32, 64, 2)[0]
         f_t = analytic_cost(ARCH_BASELINE, 0, 32, 64, 2)[0]
         assert f_h == f_t
+        # and the baseline over m video rows is that stack over m + n text rows
+        for m in (0, 1, 255, 256, 1100, 8192):
+            for n in (1, 64):
+                for d, layers in ((64, 2), (32, 3)):
+                    assert (analytic_cost(ARCH_BASELINE, m, n, d, layers)[0]
+                            == analytic_cost(ARCH_HYBRID, 0, m + n, d, layers,
+                                             block_variant="none")[0])
 
     def test_hybrid_leading_term_linear_in_m(self):
         a = leading_term_cost(ARCH_HYBRID, 4096, 64, 64)
@@ -61,6 +68,15 @@ class TestAnalyticCost:
             analytic_cost(ARCH_HYBRID, -1, 4, 8, 1)
         with pytest.raises(ContractError):
             leading_term_cost("wat", 1, 1, 1)
+        with pytest.raises(ContractError):
+            analytic_cost("wat", 1, 4, 8, 1)
+        with pytest.raises(ContractError):
+            memory_estimate("wat", 1, 4)
+        for arch in (ARCH_HYBRID, ARCH_BASELINE):
+            with pytest.raises(ContractError):
+                analytic_cost(arch, 1, 4, 8, 1, block_variant="mamba3")
+            with pytest.raises(ContractError):
+                memory_estimate(arch, 1, 4, block_variant="mamba3")
 
     @pytest.mark.parametrize("m", [2**18, 2**19, 2**20])
     def test_leading_term_ratio_converges(self, m):
@@ -384,6 +400,22 @@ class TestScanMemory:
             ratios.append(est / kept)
         assert 0.75 < ratios[0] < 1.0
         assert 0.97 < ratios[1] / ratios[0] < 1.03, ratios
+
+    def test_empty_row_groups_keep_nothing(self):
+        # a block over whole groups is charged per group, with no empty last
+        # group, and a block over no rows keeps nothing, so a text-only
+        # hybrid estimates what a block-free one does
+        body = [pf._block_body_values(t, 64, ssm.MAMBA2, 4, 64) for t in (256, 512)]
+        assert body[1] == 2 * body[0]
+        for block in (ssm.MAMBA1, ssm.MAMBA2):
+            assert pf._block_body_values(0, 64, block, 4, 64) == 0
+            assert (memory_estimate(ARCH_HYBRID, 0, 9, block_variant=block)
+                    == memory_estimate(ARCH_HYBRID, 0, 9, block_variant="none"))
+        for arch in (ARCH_HYBRID, ARCH_BASELINE):
+            for block in (ssm.MAMBA1, ssm.MAMBA2, "none"):
+                for m in (0, 1, 255, 256, 512, 8192):
+                    for n in (1, 64):
+                        assert memory_estimate(arch, m, n, block_variant=block) >= 0
 
     @pytest.mark.parametrize("m", [256, 1024])
     def test_estimate_tracks_recorded_forward(self, m):
