@@ -396,29 +396,32 @@ def train(
                 p.grad = None
             lm_sum = 0.0
             distill_sum = 0.0
-            for b in range(cfg.batch):
-                inst_seed = task.seed + 1 + step * cfg.batch + b
-                inst = generate_task(replace(task, seed=inst_seed), model.config.d)
-                seq = instance_sequence(model, inst)
-                logits = text_logits(model, seq)
-                lm = lm_loss(logits, inst.targets)
-                dl = None
-                if cfg.lam > 0:
-                    with ng.no_grad():
-                        t_seq = instance_sequence(teacher, inst)
-                        t_logits = text_logits(teacher, t_seq)
-                    sup = np.flatnonzero(inst.targets >= 0)
-                    dl = distill_loss(
-                        t_logits.data[sup],
-                        ng.index_rows(logits, sup),
-                        k=min(DISTILL_TOP_K, model.config.vocab_size),
-                    )
-                    distill_sum += dl.item()
-                total = combined_loss(lm, dl, cfg.lam)
-                lm_sum += lm.item()
-                if not math.isfinite(total.item()):
-                    raise NumericError(f"non-finite loss at step {step}")
-                ng.backward(ng.mul(total, 1.0 / cfg.batch), accumulate=True)
+            try:
+                for b in range(cfg.batch):
+                    inst_seed = task.seed + 1 + step * cfg.batch + b
+                    inst = generate_task(replace(task, seed=inst_seed), model.config.d)
+                    seq = instance_sequence(model, inst)
+                    logits = text_logits(model, seq)
+                    lm = lm_loss(logits, inst.targets)
+                    dl = None
+                    if cfg.lam > 0:
+                        with ng.no_grad():
+                            t_seq = instance_sequence(teacher, inst)
+                            t_logits = text_logits(teacher, t_seq)
+                        sup = np.flatnonzero(inst.targets >= 0)
+                        dl = distill_loss(
+                            t_logits.data[sup],
+                            ng.index_rows(logits, sup),
+                            k=min(DISTILL_TOP_K, model.config.vocab_size),
+                        )
+                        distill_sum += dl.item()
+                    total = combined_loss(lm, dl, cfg.lam)
+                    lm_sum += lm.item()
+                    if not math.isfinite(total.item()):
+                        raise NumericError("non-finite loss")
+                    ng.backward(ng.mul(total, 1.0 / cfg.batch), accumulate=True)
+            except NumericError as exc:
+                raise NumericError(f"{exc} (training step {step})") from exc
 
             grad_norm = _global_grad_norm(trainable)
             if grad_norm > GRAD_CLIP:

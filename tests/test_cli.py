@@ -240,13 +240,15 @@ class TestTrainCommand:
 
     def test_overflowing_training_exits_4(self, tmp_path, capsys):
         # a learning rate this large drives the block's input past the float
-        # range at the second step; the run names the token, with no traceback
+        # range at the second step; the run names the token and the step, with
+        # no traceback
         code = run(["train", "--arch", "hybrid", "--M", "16", "--d", "16", "--layers", "1",
                     "--steps", "4", "--batch", "1", "--lr", "1e300",
                     "--out", str(tmp_path / "x")])
         assert code == 4
         err = capsys.readouterr().err
         assert "numeric failure: scan produced non-finite state at token 0" in err
+        assert "(training step 1)" in err
         assert "Traceback" not in err
 
     def test_distill_requires_teacher(self, tmp_path):

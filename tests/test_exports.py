@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +40,15 @@ def test_traced_functions_resolve(monkeypatch):
     missing = [name for owner, attr, name in workloads.TRACED
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the
+    # package and its command line pull in
+    src = os.path.dirname(os.path.dirname(hybridseq.__file__))
+    code = ("import sys, hybridseq, hybridseq.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from hybridseq import numerics as ng
 from hybridseq.numerics import (
@@ -130,6 +131,58 @@ class TestSigmoid:
         out = ng.sigmoid(Tensor(x)).data
         assert np.max(np.abs(out - ref) / ref.clip(min=1e-300)) < 1e-15
         assert out[-3] == 0.0 and out[-2] == 1.0 and out[-1] == 0.5
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Units in the last place between float64s of the same sign."""
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def _erf_tiles(x: np.ndarray) -> np.ndarray:
+    tile = ng._ERF_TILE
+    return np.concatenate([ng._erf(x[lo : lo + tile]) for lo in range(0, x.size, tile)])
+
+
+@pytest.mark.filterwarnings("error")
+class TestErf:
+    """`numerics._erf` against `scipy.special.erf`, which runs the same
+    Cephes algorithm; they differ only where numpy's exp rounds differently
+    from libm's."""
+
+    def test_within_one_ulp_of_scipy_and_exact_on_the_unit_interval(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 10**6 + 1),
+                            ng.new_rng(11).uniform(-3.0, 3.0, 2 * 10**5)])
+        d = _ulps(_erf_tiles(x), scipy_erf(x))
+        assert d.max() <= 1
+        assert d[np.abs(x) <= 1.0].max() == 0
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), 5.9, 6.0, 8.0,
+                      1e300, -1e300, np.inf, -np.inf, 5e-324])
+        got = ng._erf(x)
+        assert _ulps(got, scipy_erf(x)).max() <= 1
+        assert np.signbit(got[1]) and got[1] == 0.0
+        assert got[6] == got[7] == got[8] == got[10] == 1.0
+        assert got[9] == got[11] == -1.0
+        assert np.isnan(ng._erf(np.array([np.nan, -np.nan]))).all()
+
+
+class TestGelu:
+    @pytest.mark.parametrize("shape", [(2112, 256), (700, 300)])
+    def test_a_row_alone_equals_its_row_in_a_block(self, shape):
+        # the first and last rows, and the rows on either side of the first
+        # tile boundary (which cuts a 300-value row in two)
+        edge = ng._ERF_TILE // shape[1]
+        rows = (0, edge - 1, edge, shape[0] - 1)
+        x = ng.new_rng(12).standard_normal(shape) * 2.0
+        with ng.no_grad():
+            block = ng.gelu(Tensor(x)).data
+            alone = [ng.gelu(Tensor(x[r : r + 1])).data[0] for r in rows]
+        recorded = ng.gelu(Tensor(x, requires_grad=True)).data
+        assert np.array_equal(recorded, block)
+        for r, row in zip(rows, alone):
+            assert np.array_equal(row, block[r])
 
 
 class TestSoftmaxRows:
