@@ -24,7 +24,7 @@ cli        train / eval / bench / analyze / sweep commands
 from . import attention, cli, model, numerics, profiler, ssm, training
 from .attention import (
     AttentionParams,
-    VideoKVCache,
+    KVRows,
     blended_text_update,
     causal_self_attention,
     cross_attention,

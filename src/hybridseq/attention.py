@@ -19,9 +19,10 @@ normalization sets).
 Keys and values come from one projection, `key_value_rows`, whether an op
 projects them itself, takes them projected (the hybrid's training pass
 joins its video keys and values from row groups) or reads them from a
-cache: the video cache (`VideoKVCache.write`, which a prefill calls once
-per row group) and the self caches that `model` grows from
-`key_value_heads`.  Attention only reads a cache; it never grows one.
+cache.  Every cache is a `KVRows`, one head-major buffer appended in
+order from `key_value_heads`: the video cache a prefill appends once per
+row group, and the self caches that `model` grows.  Attention only reads
+a cache; it never grows one.
 
 Every op runs one kernel, `_attend`, with gradients on or off: training,
 prefill, cross-attention and both decode branches.  It takes query rows in
@@ -46,7 +47,7 @@ from .numerics import ContractError, NumericError, ShapeError, Tensor
 
 __all__ = [
     "AttentionParams",
-    "VideoKVCache",
+    "KVRows",
     "init_attention_params",
     "init_cross_from_self",
     "causal_self_attention",
@@ -97,33 +98,37 @@ class AttentionParams:
 
 
 @dataclass
-class VideoKVCache:
-    """Projected keys/values over all video tokens, [n_heads, M, head_dim].
+class KVRows:
+    """Head-major keys and values, [n_heads, capacity, head_dim] each.
 
-    Written once per sequence, a group of rows at a time (`write`), and
-    treated as read-only while text decodes.
+    Rows 0..filled-1 are written, in order (`append`), and a written row
+    never changes, so any number of readers can share the buffer.
     """
 
     k: np.ndarray
     v: np.ndarray
+    filled: int = 0
 
     @property
-    def m(self) -> int:
+    def capacity(self) -> int:
         return self.k.shape[1]
 
     @classmethod
-    def empty(cls, params_c: AttentionParams, m: int) -> "VideoKVCache":
-        """A cache with room for m video rows, none of them written."""
-        k = np.empty((params_c.n_heads, m, params_c.head_dim))
+    def empty(cls, params: AttentionParams, capacity: int) -> "KVRows":
+        """A buffer with room for `capacity` rows of `params`' heads, none
+        of them written."""
+        k = np.empty((params.n_heads, capacity, params.head_dim))
         return cls(k, np.empty_like(k))
 
-    def write(self, params_c: AttentionParams, video: Tensor, at: int) -> None:
-        """Project the normed video rows `video` and write their keys and
-        values at rows at, at + 1, ... of the cache."""
-        _check_width(params_c, video, "video")
-        k, v = key_value_heads(params_c, video)
-        self.k[:, at : at + video.shape[0]] = k
-        self.v[:, at : at + video.shape[0]] = v
+    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
+        """Write r rows ([n_heads, r, head_dim] each) after the filled ones;
+        ContractError if they do not fit."""
+        end = self.filled + k_new.shape[1]
+        if end > self.capacity:
+            raise ContractError(f"KVRows: {end} rows do not fit a capacity of {self.capacity}")
+        self.k[:, self.filled : end] = k_new
+        self.v[:, self.filled : end] = v_new
+        self.filled = end
 
 
 def init_attention_params(
@@ -209,7 +214,8 @@ def _attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
         first, last = int(allowed.min()) + 1, int(allowed.max()) + 1
         s = np.matmul(qh[:, lo:hi], kt, out=None if probs is None else probs[:, lo:hi])
         s *= scale
-        s[:, :, last:] = -np.inf
+        if last < lk:
+            s[:, :, last:] = -np.inf
         if first < last:
             cols = np.arange(first, last)
             np.copyto(s[:, :, first:last], -np.inf, where=cols[None] > allowed[:, None])
@@ -305,12 +311,13 @@ def key_value_heads(params: AttentionParams, x: Tensor) -> tuple[np.ndarray, np.
     return _heads(k.data, params.n_heads), _heads(v.data, params.n_heads)
 
 
-def build_video_kv_cache(params_c: AttentionParams, video: Tensor) -> VideoKVCache:
+def build_video_kv_cache(params_c: AttentionParams, video: Tensor) -> KVRows:
     """The cache of the normed video rows `video`, projected in one call;
     the cross branch and every decode step read it without projecting
     again.  (A hybrid prefill fills its caches a row group at a time.)"""
-    cache = VideoKVCache.empty(params_c, video.shape[0])
-    cache.write(params_c, video, 0)
+    _check_width(params_c, video, "video")
+    cache = KVRows.empty(params_c, video.shape[0])
+    cache.append(*key_value_heads(params_c, video))
     return cache
 
 
@@ -319,13 +326,14 @@ def cross_attention(params_c: AttentionParams, text_q: Tensor, video) -> Tensor:
 
     `video` may be the normed video rows, a [M, d] tensor whose keys and
     values the call projects; their projected keys and values, a pair of
-    [M, d] tensors; or a VideoKVCache (no-grad prefill and decode), whose
-    keys and values the call reads as constants.  Gradients flow through
-    the first two.
+    [M, d] tensors; or a KVRows (no-grad prefill and decode), whose
+    written keys and values the call reads as constants.  Gradients flow
+    through the first two.
     """
     _check_width(params_c, text_q, "text")
-    if isinstance(video, VideoKVCache):
-        kv, m = (video.k, video.v), video.m
+    if isinstance(video, KVRows):
+        m = video.filled
+        kv = video.k[:, :m], video.v[:, :m]
     else:
         if not isinstance(video, tuple):
             _check_width(params_c, video, "video")

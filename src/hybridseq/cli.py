@@ -534,11 +534,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, video=True):
         p.add_argument("--config", help="key=value config file or a manifest.json")
         p.add_argument("--seed", type=int, help=f"RNG seed ({SEED_ENV_VAR} is the fallback)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--M", help="video-token count (bench: a grid spec)")
+        if video:
+            p.add_argument("--M", help="video-token count (bench: a grid spec)")
 
     p_train = sub.add_parser("train", help="train a model on a synthetic task")
     common(p_train)
@@ -576,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=cmd_bench)
 
     p_an = sub.add_parser("analyze", help="fit scaling exponents from bench output")
-    common(p_an)
+    common(p_an, video=False)
     p_an.add_argument("--input", help="bench.csv or bench.json")
     p_an.set_defaults(fn=cmd_analyze)
 

@@ -47,7 +47,7 @@ import numpy as np
 from . import attention as attn
 from . import numerics as ng
 from . import ssm as ssm_mod
-from .attention import AttentionParams, VideoKVCache
+from .attention import AttentionParams, KVRows
 from .numerics import ContractError, HybridSeqError, NumericError, Tensor
 from .ssm import SSMParams
 
@@ -391,16 +391,17 @@ def _mlp_forward(mlp: MLPParams, x: Tensor) -> Tensor:
 def _text_half(layer: Layer, x: Tensor, video=None,
                past: LayerCache | None = None) -> tuple[Tensor, LayerCache | None]:
     """The text half of a layer, for training, prefill and decode alike:
-    pre-norm, the self branch, with `video` (normed video rows or a
-    VideoKVCache) the cross branch and the blend, residual; then norm, MLP
-    and residual.  On a baseline every row of the stream takes this path.
+    pre-norm, the self branch, with `video` (any form
+    `attention.cross_attention` takes) the cross branch and the blend,
+    residual; then norm, MLP and residual.  On a baseline every row of the
+    stream takes this path.
 
     With `past` (gradients off; empty in prefill), x's rows follow the
     positions `past` caches: their keys and values extend it, and the self
     branch attends over the grown cache.  Returns the rows and the grown
     cache (None without `past`)."""
     x_ln = ng.layer_norm(x, layer.attn_norm.gain, layer.attn_norm.bias)
-    cache = None if past is None else past.extended(*attn.key_value_heads(layer.self_attn, x_ln))
+    cache = None if past is None else past.extended(layer.self_attn, x_ln)
     if video is not None:
         alpha = ng.sigmoid(layer.self_attn.alpha_raw)
         mid = ng.add(x, attn.blended_text_update(layer.self_attn, layer.cross_attn, alpha,
@@ -428,14 +429,14 @@ class _VideoHalf:
     norm the text rows share, keeps their cross keys and values, and
     returns the block's output rows (the rows themselves without a block).
 
-    Without grad the keys and values go straight into the layer's
-    head-major video cache.  Under grad each group's keys and values are
-    graph nodes, joined once the last group is in (`video`)."""
+    Without grad the keys and values are appended to the layer's video
+    cache, a `KVRows` of m rows.  Under grad each group's keys and values
+    are graph nodes, joined once the last group is in (`video`)."""
 
     def __init__(self, layer: Layer, m: int):
         self.layer = layer
         self.block = None if layer.mamba is None else ssm_mod.BlockRun(layer.mamba)
-        self.cache = None if ng.is_grad_enabled() else attn.VideoKVCache.empty(layer.cross_attn, m)
+        self.cache = None if ng.is_grad_enabled() else KVRows.empty(layer.cross_attn, m)
         self.keys: list[Tensor] = []
         self.values: list[Tensor] = []
 
@@ -443,7 +444,7 @@ class _VideoHalf:
         layer = self.layer
         normed = ng.layer_norm(rows, layer.attn_norm.gain, layer.attn_norm.bias)
         if self.cache is not None:
-            self.cache.write(layer.cross_attn, normed, position)
+            self.cache.append(*attn.key_value_heads(layer.cross_attn, normed))
         else:
             k, v = attn.key_value_rows(layer.cross_attn, normed)
             self.keys.append(k)
@@ -551,33 +552,20 @@ def text_logits(model: Model, seq: TokenSequence) -> Tensor:
 
 
 @dataclass
-class TextRows:
-    """Text keys/values shared by the contexts of one decode line.
-
-    `k` and `v` are [n_heads, capacity, head_dim]; rows 0..filled-1 are
-    written, and a written row never changes.
-    """
-
-    k: np.ndarray
-    v: np.ndarray
-    filled: int
-
-
-@dataclass
 class LayerCache:
     """One layer's caches as one context sees them: the read-only video
-    keys/values and the first `n` rows of a text key/value buffer."""
+    keys/values and the first `n` rows of a text key/value buffer, which
+    the contexts of one decode line share."""
 
-    video_kv: VideoKVCache | None  # hybrid cross keys/values (immutable)
-    rows: TextRows
+    video_kv: KVRows | None  # hybrid cross keys/values (immutable)
+    rows: KVRows
     n: int
 
     @classmethod
-    def empty(cls, params: AttentionParams, video_kv: VideoKVCache | None) -> "LayerCache":
+    def empty(cls, params: AttentionParams, video_kv: KVRows | None) -> "LayerCache":
         """A cache over `video_kv` with no text rows yet: where prefill's
         text half starts (self-attention `params` give the row shape)."""
-        none = np.empty((params.n_heads, 0, params.head_dim))
-        return cls(video_kv, TextRows(none, none, 0), 0)
+        return cls(video_kv, KVRows.empty(params, 0), 0)
 
     @property
     def text_k(self) -> np.ndarray:  # [n_heads, n, head_dim] (baseline: joint stream)
@@ -587,8 +575,9 @@ class LayerCache:
     def text_v(self) -> np.ndarray:
         return self.rows.v[:, : self.n]
 
-    def extended(self, k_new: np.ndarray, v_new: np.ndarray) -> "LayerCache":
-        """This cache plus r rows ([n_heads, r, head_dim] each), as a new one.
+    def extended(self, params: AttentionParams, x_ln: Tensor) -> "LayerCache":
+        """This cache plus the keys and values of the r normed rows x_ln,
+        as a new one.
 
         The rows go into the shared buffer when the buffer has room and no
         other context has written past row n; otherwise the n rows move to
@@ -597,16 +586,15 @@ class LayerCache:
         the buffer the prefill filled, and branches from one context never
         see each other's rows.
         """
-        rows, n, end = self.rows, self.n, self.n + k_new.shape[1]
-        if rows.filled != n or end > rows.k.shape[1]:
-            k = np.empty((rows.k.shape[0], 2 * end, rows.k.shape[2]))
-            v = np.empty_like(k)
-            k[:, :n] = rows.k[:, :n]
-            v[:, :n] = rows.v[:, :n]
-            rows = TextRows(k, v, n)
-        rows.k[:, n:end] = k_new
-        rows.v[:, n:end] = v_new
-        rows.filled = end
+        # projected before a new buffer is taken: the other order raised
+        # the baseline prefill's peak RSS by 1.6 MB at M = 2048 (numpy 2.4,
+        # glibc malloc)
+        k_new, v_new = attn.key_value_heads(params, x_ln)
+        rows, end = self.rows, self.n + x_ln.shape[0]
+        if rows.filled != self.n or end > rows.capacity:
+            rows = KVRows.empty(params, 2 * end)
+            rows.append(self.text_k, self.text_v)
+        rows.append(k_new, v_new)
         return LayerCache(self.video_kv, rows, end)
 
 
@@ -652,7 +640,7 @@ def decode_step(model: Model, ctx: DecodeContext, token_embedding):
     branch from it (see `LayerCache.extended`)."""
     caches: list[LayerCache] = []
     first = ctx.caches[0]  # the new token's position in the stream:
-    position = first.n + (0 if first.video_kv is None else first.video_kv.m)
+    position = first.n + (0 if first.video_kv is None else first.video_kv.filled)
     with ng.no_grad():
         x = ng.reshape(token_embedding, (1, model.config.d))
         for i, (layer, past) in enumerate(zip(model.layers, ctx.caches)):

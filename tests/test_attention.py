@@ -11,7 +11,7 @@ from hybridseq import attention as attn_mod
 from hybridseq import numerics as ng
 from hybridseq.attention import (
     AttentionParams,
-    VideoKVCache,
+    KVRows,
     blended_text_update,
     build_video_kv_cache,
     causal_self_attention,
@@ -259,8 +259,30 @@ class TestCrossAttention:
             cross_attention(
                 p,
                 Tensor(np.ones((2, 4))),
-                VideoKVCache(k=np.zeros((2, 0, 2)), v=np.zeros((2, 0, 2))),
+                KVRows.empty(p, 0),
             )
+
+    def test_append_past_capacity_raises(self):
+        p = make_params(seed=22)
+        k, v = attn_mod.key_value_heads(p, Tensor(ng.new_rng(23).standard_normal((3, 4))))
+        rows = KVRows.empty(p, 4)
+        rows.append(k, v)
+        with pytest.raises(ContractError, match="capacity of 4"):
+            rows.append(k, v)
+        assert rows.filled == 3
+        rows.append(k[:, :1], v[:, :1])
+        assert rows.filled == rows.capacity == 4
+
+    def test_cross_attention_reads_only_the_written_rows(self):
+        p = make_params(seed=24)
+        rng = ng.new_rng(25)
+        video, text = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
+        rows = KVRows.empty(p, 8)
+        rows.append(*attn_mod.key_value_heads(p, Tensor(video)))
+        with ng.no_grad():
+            via_rows = cross_attention(p, Tensor(text), rows)
+            inline = cross_attention(p, Tensor(text), Tensor(video))
+        assert np.max(np.abs(via_rows.data - inline.data)) < 1e-13
 
     def test_cache_matches_inline(self):
         p = make_params(seed=20)

@@ -8,6 +8,7 @@ import pytest
 from hybridseq import cli
 from hybridseq.cli import UsageError, load_config_file, main, parse_grid
 from hybridseq.model import ConfigError, load_checkpoint, save_checkpoint
+from hybridseq.profiler import BENCH_SCHEMA
 
 
 def run(argv):
@@ -360,6 +361,14 @@ class TestBenchAnalyze:
 
     def test_analyze_missing_input(self, tmp_path):
         assert run(["analyze", "--out", str(tmp_path / "x")]) == 2
+
+    def test_analyze_takes_no_video_count(self, tmp_path):
+        # analyze reads the M grid from its input; a --M would be ignored
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"schema": BENCH_SCHEMA, "rows": []}))
+        argv = ["analyze", "--input", str(bench), "--out", str(tmp_path / "x")]
+        assert run(argv) == 0
+        assert run(argv + ["--M", "5"]) == 2
 
 
 class TestSweep:

@@ -409,6 +409,16 @@ class TestPrefillWritesCaches:
         assert np.array_equal(got.text_k[:, -1], want.text_k[:, -1])
         assert np.array_equal(got.text_v[:, -1], want.text_v[:, -1])
 
+    def test_video_buffers_are_full_and_shared_by_decode(self):
+        model = build_model(small_config(), seed=88)
+        m = ssm_mod.GROUP_ROWS + 9  # two row groups, each appended in turn
+        _, ctx = prefill(model, random_sequence(model, m=m, n=3, seed=89))
+        _, a = decode_step(model, ctx, model.token_table.data[2])
+        _, b = decode_step(model, a, model.token_table.data[3])
+        for old, c1, c2 in zip(ctx.caches, a.caches, b.caches):
+            assert old.video_kv.filled == old.video_kv.capacity == m
+            assert c1.video_kv is old.video_kv and c2.video_kv is old.video_kv
+
     @pytest.mark.parametrize("arch", [ARCH_HYBRID, ARCH_BASELINE])
     def test_first_decode_step_writes_into_the_prefill_buffer(self, arch):
         # prefill grows its caches from empty with the rule decode uses, so
