@@ -117,14 +117,19 @@ def is_grad_enabled() -> bool:
 
 
 @contextmanager
-def no_grad():
-    """Disable graph recording inside the block (inference / benchmarking)."""
+def _grad_mode(enabled: bool):
+    """Set the grad switch inside the block, restoring it after."""
     prev = _LOCAL.grad_enabled
-    _LOCAL.grad_enabled = False
+    _LOCAL.grad_enabled = enabled
     try:
         yield
     finally:
         _LOCAL.grad_enabled = prev
+
+
+def no_grad():
+    """Disable graph recording inside the block (inference / benchmarking)."""
+    return _grad_mode(False)
 
 
 def first_bad_row(*arrays: np.ndarray) -> int | None:
@@ -306,6 +311,48 @@ def custom_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     numerically cleaner written by hand (e.g. the state-space scan).
     """
     return _node(np.asarray(data, dtype=np.float64), tuple(parents), vjp)
+
+
+def _recomputed(fn, inputs, leaves) -> Tensor:
+    """fn(*inputs), a Tensor, as one graph node that keeps only its inputs
+    and its output (gradient checkpointing, Chen et al., arXiv 1604.06174).
+
+    The forward runs fn without a graph.  The reverse pass runs fn again,
+    recorded, on copies of `inputs` cut from the graph (even when
+    `backward` runs under `no_grad`), carries the output's adjoint through
+    that sub-graph and drops it.  `leaves` are the graph leaves fn reads
+    from its closure (parameters); they are parents of the node, so their
+    adjoints reach them."""
+    inputs, leaves = tuple(_coerce(t) for t in inputs), tuple(leaves)
+    with _grad_mode(False):
+        out = fn(*inputs)
+
+    def vjp(g):
+        cut = []
+        for t in inputs:
+            c = _leaf(t.data)
+            c.requires_grad = t.requires_grad
+            cut.append(c)
+        with _grad_mode(True):
+            root = fn(*cut)
+        tape = GradTape(root)
+        tape.adjoints[id(root)] = g
+        adj = tape.run()
+        return tuple(adj.get(id(t)) for t in cut + list(leaves))
+
+    return _node(out.data, inputs + leaves, vjp)
+
+
+def _split_flat(a: Tensor, shapes) -> list[Tensor]:
+    """The 1-D tensor a cut into consecutive views of the given shapes,
+    copying nothing; a view's adjoint is a row slice of a's."""
+    views, lo = [], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        vjp = (lambda g, lo=lo, hi=hi: (_RowSlice(lo, hi, g.reshape(-1)),))
+        views.append(_node(a.data[lo:hi].reshape(shape), (a,), vjp))
+        lo = hi
+    return views
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -862,7 +909,8 @@ class GradTape:
     """Topologically ordered record of the graph reaching one root tensor.
 
     `nodes` lists every recorded tensor with all parents preceding it;
-    `adjoints` holds one buffer per node, filled in by `run()`.
+    `adjoints` holds one buffer per node, filled in by `run()` from the
+    root's: ones, unless one is put in `adjoints` before the run.
     """
 
     def __init__(self, root: Tensor):
@@ -893,7 +941,8 @@ class GradTape:
         write."""
         adj = self.adjoints
         owned: set[int] = set()  # ids whose buffer no other adjoint shares
-        adj[id(self.root)] = np.ones_like(self.root.data)
+        if id(self.root) not in adj:
+            adj[id(self.root)] = np.ones_like(self.root.data)
         for node in reversed(self.nodes):
             g = adj.get(id(node))
             if g is None or node._vjp is None:

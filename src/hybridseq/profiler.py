@@ -35,7 +35,7 @@ from . import model as mod
 from . import numerics as ng
 from .model import ARCH_BASELINE, ARCH_HYBRID, BLOCK_NONE, Model
 from .numerics import ContractError, FLOP_COST
-from .ssm import EXPAND, GROUP_ROWS, MAMBA1, MAMBA2, SSD_CHUNK, _default_sizes
+from .ssm import CONV_WIDTH, EXPAND, GROUP_ROWS, MAMBA1, MAMBA2, SSD_CHUNK, _default_sizes
 
 __all__ = [
     "CostModel",
@@ -142,11 +142,13 @@ def _sequential_scan_values(m: int, d_inner: int, n_state: int, block: int) -> f
 
 
 def _block_body_values(m: int, d: int, variant: str, n_heads: int, n_state: int) -> float:
-    """Values a recorded block body keeps for its reverse pass over m rows
-    from the stream's start: the scan's, plus its activations.  The body
-    runs over groups of `GROUP_ROWS` rows, so the chunked scan is charged
-    per group (only the last one is padded to the chunk grid, and no group
-    is empty).  With no rows the body never runs and keeps nothing."""
+    """Values the block body keeps when recorded over m rows from the
+    stream's start: the scan's, plus its activations.  The body runs over
+    groups of `GROUP_ROWS` rows, so the chunked scan is charged per group
+    (only the last one is padded to the chunk grid, and no group is empty).
+    With no rows the body never runs and keeps nothing.  A recorded block
+    keeps none of this (`_block_kept_values`): its reverse pass records one
+    group's body at a time, `_block_body_values(GROUP_ROWS, ...)` at most."""
     if m == 0:
         return 0.0
     d_inner = EXPAND * d
@@ -160,10 +162,26 @@ def _block_body_values(m: int, d: int, variant: str, n_heads: int, n_state: int)
     return vals + m * (10.0 * d_inner + 4 * d + 1)  # norm, projections, conv, SiLUs, gate, residual
 
 
+def _block_kept_values(m: int, d: int, variant: str, n_heads: int, n_state: int) -> float:
+    """Values a recorded block keeps for its reverse pass over m rows from
+    the stream's start.  Each row group is one node that keeps its inputs
+    and its output, which packs the group's output rows with the SSM state
+    and the convolution tail it hands on; the body is recomputed in the
+    reverse pass.  Once per block: the zero state and tail the first group
+    starts from, and a = -exp(a_log) (mamba1's laid out as [n_state,
+    d_inner] first).  With no rows the block never runs and keeps nothing."""
+    if m == 0:
+        return 0.0
+    d_inner = EXPAND * d
+    handoff = (n_state + CONV_WIDTH - 1) * d_inner  # SSM state and convolution tail
+    a_neg = 3.0 * n_state * d_inner if variant == MAMBA1 else 2.0 * n_heads
+    return m * d + (-(-m // GROUP_ROWS) + 1) * handoff + a_neg
+
+
 def _mamba_block_values(m: int, d: int, variant: str, n_heads: int, n_state: int) -> float:
-    """Values a recorded `mamba_block_forward` keeps over m rows: the body's,
-    plus x's row slices and the joined output."""
-    return _block_body_values(m, d, variant, n_heads, n_state) + 2.0 * m * d
+    """Values a recorded `mamba_block_forward` keeps over m rows: the
+    block's, plus x's row slices and the joined output."""
+    return _block_kept_values(m, d, variant, n_heads, n_state) + 2.0 * m * d
 
 
 def _mamba_block_flops(m: int, d: int, variant: str, n_state: int, n_heads_ssm: int) -> float:
@@ -252,11 +270,11 @@ class CostModel:
         of every head, which attention keeps for its reverse pass (its
         scores are not kept), over every row on the baseline.  The hybrid
         instead retains M x N cross and N^2 self probabilities, and what its
-        block keeps for the reverse pass (`_block_body_values`): its
-        activations plus, for mamba1, the sequential scan's per-step stages
-        and states (`_sequential_scan_values`), for mamba2 the chunked
-        scan's per-chunk tensors and boundary states per row group
-        (`_ssd_scan_values`).
+        block keeps for the reverse pass (`_block_kept_values`): per row
+        group the block's output rows and the state and convolution tail it
+        hands on.  The block body is not kept but recomputed in the reverse
+        pass, one row group at a time (`_block_body_values`), while the
+        baseline keeps its probabilities.
         """
         d, h = self.d, self.n_heads
         r = m + n
@@ -279,7 +297,7 @@ class CostModel:
             per_layer += 1.0 * h * mv * nt + 6.0 * nt * d + mv * (6.0 * d + 1)
         if self.block_variant != BLOCK_NONE:
             n_state, n_heads = self._block_sizes()
-            per_layer += _block_body_values(mv, d, self.block_variant, n_heads, n_state)
+            per_layer += _block_kept_values(mv, d, self.block_variant, n_heads, n_state)
         return vals + self.layers * per_layer
 
 

@@ -22,8 +22,10 @@ Which scan runs where:
   projection, convolution, scan, gate, output projection, residual) on a
   group and hands the next group the SSM state and the convolution tail
   (the last 3 raw branch inputs) as graph nodes, so gradients cross group
-  boundaries.  The hybrid model runs one stage per layer, so a group
-  passes through every layer before the next one starts;
+  boundaries.  Under grad each call is one node that keeps only the
+  group's inputs and outputs; its reverse pass records the body again on
+  them, one group at a time.  The hybrid model runs one stage per layer,
+  so a group passes through every layer before the next one starts;
   `mamba_block_forward` takes a whole stream from a zero state as the
   one-stage case and joins the groups' outputs.  No matrix product in the
   block sees more than one group's rows.
@@ -604,7 +606,13 @@ def _block_rows(params: SSMParams, a_neg: Tensor, x: Tensor, s: Tensor, tail,
 class BlockRun:
     """One block's pass over a stream, one row group per call: each call
     runs the body (`_block_rows`) on the group's rows from the SSM state and
-    convolution tail the call before left, starting from a zero state."""
+    convolution tail the call before left, starting from a zero state.
+
+    Under grad a call is one graph node (`numerics._recomputed`) whose
+    output packs the rows, the state and the tail, read through views; it
+    keeps only the group's inputs and that output, and its reverse pass
+    records the body again on the same inputs, so one group's body is
+    alive at a time.  A call no adjoint reaches is never recomputed."""
 
     def __init__(self, params: SSMParams):
         self.params = params
@@ -612,8 +620,20 @@ class BlockRun:
         self.tail = np.zeros((CONV_WIDTH - 1, params.d_inner))
 
     def __call__(self, x: Tensor, position: int) -> Tensor:
-        y, self.s, self.tail = _block_rows(self.params, self.a_neg, x, self.s, self.tail,
-                                           position)
+        params = self.params
+        if not ng.is_grad_enabled():
+            y, self.s, self.tail = _block_rows(params, self.a_neg, x, self.s, self.tail,
+                                               position)
+            return y
+
+        def body(a_neg, x, s, tail):
+            out = _block_rows(params, a_neg, x, s, tail, position)
+            return ng.concat_rows([ng.reshape(t, (-1,)) for t in out])
+
+        packed = ng._recomputed(body, (self.a_neg, x, self.s, self.tail),
+                                params.named("").values())
+        y, self.s, self.tail = ng._split_flat(
+            packed, (x.shape, self.s.shape, (CONV_WIDTH - 1, params.d_inner)))
         return y
 
 

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-DEMOS = ["01_selective_scan.py", "02_blended_attention.py", "03_scaling_curves.py"]
+DEMOS = ["01_selective_scan.py", "02_blended_attention.py", "03_scaling_curves.py",
+         "05_training_memory.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

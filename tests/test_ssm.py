@@ -1021,3 +1021,43 @@ class TestBlockGroups:
             finally:
                 tracemalloc.stop()
         assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestBlockRecompute:
+    """Under grad each row group of a block is one graph node whose reverse
+    pass records the group's body again; the oracle records the body itself."""
+
+    @staticmethod
+    def recorded_groups(p, x):
+        """`_block_rows` recorded over the row groups of x, handing the state
+        and tail on as graph nodes, with the groups' outputs joined."""
+        a_neg, s = ssm._scan_start(p)
+        tail, ys = np.zeros((ssm.CONV_WIDTH - 1, p.d_inner)), []
+        for lo in range(0, x.shape[0], ssm.GROUP_ROWS):
+            rows = ng.slice_rows(x, lo, min(lo + ssm.GROUP_ROWS, x.shape[0]))
+            y, s, tail = ssm._block_rows(p, a_neg, rows, s, tail, lo)
+            ys.append(y)
+        return ng.concat_rows(ys)
+
+    @pytest.mark.parametrize("variant", [MAMBA1, MAMBA2])
+    @pytest.mark.parametrize("T", [ssm.GROUP_ROWS, 2 * ssm.GROUP_ROWS + 37])
+    def test_gradients_match_the_recorded_body(self, variant, T):
+        # one group, and three with the last chunk padded
+        p = make_params(variant, d_model=16, seed=23, out_std=0.3)
+        rng = ng.new_rng(75)
+        x = Tensor(rng.standard_normal((T, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((T, 16)))
+        named = {"x": x, **p.named("p")}
+
+        def run(forward):
+            for t in named.values():
+                t.grad = None
+            y = forward(p, x)
+            backward(ng.tsum(ng.mul(y, w)))
+            return y.data, {name: t.grad for name, t in named.items()}
+
+        y_ref, ref = run(self.recorded_groups)
+        y, got = run(mamba_block_forward)
+        assert np.array_equal(y, y_ref)
+        for name, g in got.items():
+            assert np.max(np.abs(g - ref[name])) <= 1e-12 * np.max(np.abs(ref[name])), name

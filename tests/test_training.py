@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from hybridseq import model as mod
 from hybridseq import numerics as ng
+from hybridseq import profiler as pf
+from hybridseq import ssm
 from hybridseq import training as tr
 from hybridseq.model import ARCH_BASELINE, ARCH_HYBRID, ConfigError, HybridStackConfig, build_model
 from hybridseq.numerics import ContractError, NumericError, Tensor, backward, finite_diff_grad
@@ -350,6 +353,76 @@ class TestStageFreezing:
         for name in model.layers[-1].mamba.named("m"):
             g = pretrain["layers.1.mamba" + name[1:]]
             assert g is not None and not g.any(), name
+
+
+class TestRecomputedBlocks:
+    """Under grad each (layer, row group) of the hybrid's blocks is one graph
+    node whose reverse pass records the group's body again."""
+
+    def loss(self, model, m, n=8, seed=0):
+        rng = ng.new_rng(seed)
+        seq = mod.make_sequence(model, rng.standard_normal((m, model.d)),
+                                rng.integers(0, model.config.vocab_size, n))
+        return lm_loss(mod.text_logits(model, seq), rng.integers(0, model.config.vocab_size, n))
+
+    def test_backward_under_no_grad_gives_the_same_gradients(self):
+        model = build_model(tiny_config(n_layers=2), seed=3, mamba_out_std=0.3)
+        loss = self.loss(model, ssm.GROUP_ROWS + 37)
+        outside = {t: g.copy() for t, g in backward(loss).items()}
+        with ng.no_grad():
+            inside = backward(loss)
+        assert inside.keys() == outside.keys()
+        for t, g in outside.items():
+            assert np.array_equal(inside[t], g)
+
+    def test_the_last_block_gets_zeros_and_weight_decay_moves_it(self):
+        # no adjoint reaches the last layer's block: its parameters get zero
+        # arrays, not None, so AdamW still decays its matrices
+        model = build_model(tiny_config(n_layers=2), seed=4, mamba_out_std=0.3)
+        backward(self.loss(model, ssm.GROUP_ROWS + 37))
+        last = model.layers[-1].mamba.named("m")
+        before = {name: p.data.copy() for name, p in last.items()}
+        for name, p in last.items():
+            assert p.grad is not None and not p.grad.any(), name
+        tr.AdamW().step(mod.named_parameters(model), 0.01)
+        for name, p in last.items():
+            b = before[name]
+            want = b - 0.01 * (tr.WEIGHT_DECAY * b) if b.ndim >= 2 else b
+            assert np.array_equal(p.data, want), name
+
+    def test_the_reverse_pass_holds_one_group_body_at_a_time(self):
+        # mamba1's recorded body (its per-step states) is large beside what
+        # a row keeps, so a step holding two bodies of a layer at once would
+        # grow by more than one from M = 512 to 1024
+        model = build_model(tiny_config(n_layers=2, d=32, n_heads=4, vocab_size=256,
+                                        block_variant="mamba1", n_state=16),
+                            seed=5, mamba_out_std=0.02)
+        peaks = []
+        for m in (512, 1024):
+            tracemalloc.start()
+            try:
+                backward(self.loss(model, m))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        body = 8 * pf._block_body_values(ssm.GROUP_ROWS, 32, "mamba1", 1, 16)
+        assert peaks[1] - peaks[0] < body, (peaks, body)
+
+    @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
+    def test_a_metered_backward_charges_one_block_forward_per_reached_group(self, variant):
+        # three layers over three groups: the first two layers' groups are
+        # recomputed, the last layer's, which no adjoint reaches, are not;
+        # a = -exp(a_log) is a parent of each node, not recomputed
+        model = build_model(tiny_config(n_layers=3, d=16, block_variant=variant), seed=6,
+                            mamba_out_std=0.3)
+        m = 2 * ssm.GROUP_ROWS + 37
+        loss = self.loss(model, m)
+        with ng.count_flops() as meter:
+            backward(loss)
+        block = ssm.BlockRun(model.layers[0].mamba)
+        with ng.no_grad(), ng.count_flops() as one_layer:
+            ssm.run_groups(Tensor(np.zeros((m, 16))), m, [block])
+        assert meter.by_kind == {k: 2 * v for k, v in one_layer.by_kind.items()}
 
 
 class TestTrainLoop:
