@@ -7,7 +7,10 @@
 # language-model loss, reverse pass; d = 64, 2 layers, N = 64 text tokens,
 # batch 1, every parameter differentiable) per architecture at two video
 # lengths, and prints the step's tracemalloc peak, its wall time and the
-# hybrid/baseline ratios beside the paper's.
+# hybrid/baseline ratios beside the paper's.  Beside each peak it prints
+# what the forward keeps for the reverse pass (tracemalloc after the text
+# logits and the loss), so the reverse pass's share of the peak is the
+# difference.
 #
 # What each side keeps for the reverse pass differs by design.  The hybrid
 # keeps, per state-space block, only each row group's inputs and outputs,
@@ -31,9 +34,10 @@ D, LAYERS, N, VOCAB = 64, 2, 64, 256
 PAPER_RATIO = 0.5  # "at least 50% less training memory"
 
 
-def recorded_step(arch: str, m: int, repeats: int = 3) -> tuple[float, float]:
-    """(tracemalloc peak in MB, median wall time in ms) of one recorded
-    training step over m video rows and N text tokens."""
+def recorded_step(arch: str, m: int, repeats: int = 3) -> tuple[float, float, float]:
+    """(tracemalloc peak in MB, what the forward keeps in MB, median wall
+    time in ms) of one recorded training step over m video rows and N text
+    tokens."""
     cfg = HybridStackConfig(d=D, n_layers=LAYERS, n_heads=4, vocab_size=VOCAB,
                             architecture=arch).validate()
     model = build_model(cfg, seed=0)
@@ -41,23 +45,25 @@ def recorded_step(arch: str, m: int, repeats: int = 3) -> tuple[float, float]:
     video, ids, targets = (rng.standard_normal((m, D)), rng.integers(0, VOCAB, N),
                            rng.integers(0, VOCAB, N))
 
-    def step():
+    def forward():
         seq = mod.make_sequence(model, video, ids)
-        ng.backward(lm_loss(mod.text_logits(model, seq), targets))
+        return lm_loss(mod.text_logits(model, seq), targets)
 
-    step()  # warm-up
+    ng.backward(forward())  # warm-up
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        step()
+        ng.backward(forward())
         times.append((time.perf_counter() - t0) * 1e3)
     tracemalloc.start()
     try:
-        step()
+        loss = forward()
+        kept = tracemalloc.get_traced_memory()[0]
+        ng.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / 2**20, float(np.median(times))
+    return peak / 2**20, kept / 2**20, float(np.median(times))
 
 
 # %%
@@ -65,10 +71,11 @@ def recorded_step(arch: str, m: int, repeats: int = 3) -> tuple[float, float]:
 # and M = 1024.
 
 if __name__ == "__main__":
-    print(f"{'M':>5} {'hybrid MB':>10} {'baseline MB':>12} {'h/b':>6} "
+    print(f"{'M':>5} {'hybrid MB':>10} {'kept':>6} {'baseline MB':>12} {'kept':>6} {'h/b':>6} "
           f"{'hybrid ms':>10} {'baseline ms':>12} {'h/b':>6}   paper h/b memory")
     for m in (256, 1024):
-        h_mb, h_ms = recorded_step(ARCH_HYBRID, m)
-        b_mb, b_ms = recorded_step(ARCH_BASELINE, m)
-        print(f"{m:>5} {h_mb:>10.1f} {b_mb:>12.1f} {h_mb / b_mb:>6.2f} "
-              f"{h_ms:>10.1f} {b_ms:>12.1f} {h_ms / b_ms:>6.2f}   <= {PAPER_RATIO:.2f}")
+        h_mb, h_kept, h_ms = recorded_step(ARCH_HYBRID, m)
+        b_mb, b_kept, b_ms = recorded_step(ARCH_BASELINE, m)
+        print(f"{m:>5} {h_mb:>10.1f} {h_kept:>6.1f} {b_mb:>12.1f} {b_kept:>6.1f} "
+              f"{h_mb / b_mb:>6.2f} {h_ms:>10.1f} {b_ms:>12.1f} {h_ms / b_ms:>6.2f}   "
+              f"<= {PAPER_RATIO:.2f}")

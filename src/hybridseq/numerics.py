@@ -319,10 +319,11 @@ def _recomputed(fn, inputs, leaves) -> Tensor:
 
     The forward runs fn without a graph.  The reverse pass runs fn again,
     recorded, on copies of `inputs` cut from the graph (even when
-    `backward` runs under `no_grad`), carries the output's adjoint through
-    that sub-graph and drops it.  `leaves` are the graph leaves fn reads
-    from its closure (parameters); they are parents of the node, so their
-    adjoints reach them."""
+    `backward` runs under `no_grad`), and carries the output's adjoint
+    through that sub-graph, which is freed node by node as the walk passes
+    it.  `leaves` are the graph leaves fn reads from its closure
+    (parameters); they are parents of the node, so their adjoints reach
+    them."""
     inputs, leaves = tuple(_coerce(t) for t in inputs), tuple(leaves)
     with _grad_mode(False):
         out = fn(*inputs)
@@ -334,9 +335,8 @@ def _recomputed(fn, inputs, leaves) -> Tensor:
             c.requires_grad = t.requires_grad
             cut.append(c)
         with _grad_mode(True):
-            root = fn(*cut)
-        tape = GradTape(root)
-        tape.adjoints[id(root)] = g
+            tape = GradTape(fn(*cut))  # the tape alone holds the sub-graph
+        tape.adjoints[id(tape.root)] = g
         adj = tape.run()
         return tuple(adj.get(id(t)) for t in cut + list(leaves))
 
@@ -908,13 +908,15 @@ def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
 class GradTape:
     """Topologically ordered record of the graph reaching one root tensor.
 
-    `nodes` lists every recorded tensor with all parents preceding it;
-    `adjoints` holds one buffer per node, filled in by `run()` from the
-    root's: ones, unless one is put in `adjoints` before the run.
+    `nodes` lists every recorded tensor with all parents preceding it.
+    `run()` consumes that list and lets go of `root`: it runs once.  It
+    starts from the root's adjoint, ones unless one is put in `adjoints`
+    before the run, and afterwards `adjoints` holds the adjoints of the
+    reached leaves (nodes without a VJP) only.
     """
 
     def __init__(self, root: Tensor):
-        self.root = root
+        self.root: Tensor | None = root
         self.nodes: list[Tensor] = []
         self.adjoints: dict[int, np.ndarray] = {}
         visited: set[int] = set()
@@ -935,40 +937,53 @@ class GradTape:
     def run(self) -> dict[int, np.ndarray]:
         """Propagate adjoints from the root back to every reachable node.
 
+        The walk pops each node and drops a non-leaf's adjoint once its VJP
+        has run, so the adjoints it has finished with are freed as it goes,
+        and so are the nodes of a graph only the tape holds.  Returns
+        `adjoints`: the reached leaves' adjoints, by id."""
+        if self.root is None:
+            raise ContractError("a GradTape runs once; build a new one from the root")
+        adj, nodes = self.adjoints, self.nodes
+        root, self.root = self.root, None
+        if id(root) not in adj:
+            adj[id(root)] = np.ones_like(root.data)
+        del root
+        owned: set[int] = set()  # ids whose buffer no other adjoint shares
+        while nodes:
+            self._visit(nodes.pop(), owned)
+        return adj
+
+    def _visit(self, node: Tensor, owned: set[int]) -> None:
+        """Add node's VJP into its parents' adjoints and drop its own.  A
+        method of its own, so no loop variable pins a node or a gradient.
+
         A row-slice adjoint is added in place into a buffer only the tape
         holds; an adjoint a VJP handed over may be shared (`add` gives the
         same array to both parents), so it is copied before the first such
         write."""
-        adj = self.adjoints
-        owned: set[int] = set()  # ids whose buffer no other adjoint shares
-        if id(self.root) not in adj:
-            adj[id(self.root)] = np.ones_like(self.root.data)
-        for node in reversed(self.nodes):
-            g = adj.get(id(node))
-            if g is None or node._vjp is None:
+        adj, nid = self.adjoints, id(node)
+        if node._vjp is None or nid not in adj:
+            return
+        for p, pg in zip(node._parents, node._vjp(adj.pop(nid))):
+            if pg is None:
                 continue
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None:
-                    continue
-                key = id(p)
-                cur = adj.get(key)
-                if isinstance(pg, _RowSlice):
-                    if cur is None:
-                        cur = adj[key] = np.zeros(p.shape)
-                        cur[pg.lo : pg.hi] = pg.g
-                        owned.add(key)
-                        continue
-                    if key not in owned:
-                        cur = adj[key] = cur.copy()
-                        owned.add(key)
-                    cur[pg.lo : pg.hi] += pg.g
-                elif cur is None:
-                    adj[key] = pg
-                else:
-                    adj[key] = cur + pg
+            key = id(p)
+            cur = adj.get(key)
+            if isinstance(pg, _RowSlice):
+                if cur is None:
+                    cur = adj[key] = np.zeros(p.shape)
+                    cur[pg.lo : pg.hi] = pg.g
                     owned.add(key)
-        return adj
+                    continue
+                if key not in owned:
+                    cur = adj[key] = cur.copy()
+                    owned.add(key)
+                cur[pg.lo : pg.hi] += pg.g
+            elif cur is None:
+                adj[key] = pg
+            else:
+                adj[key] = cur + pg
+                owned.add(key)
 
 
 def backward(loss: Tensor, accumulate: bool = False) -> dict[Tensor, np.ndarray]:
@@ -977,22 +992,25 @@ def backward(loss: Tensor, accumulate: bool = False) -> dict[Tensor, np.ndarray]
     Populates `.grad` on every reachable requires_grad leaf and returns a
     map from those leaves to their adjoints (zeros where no adjoint reached
     one).  With accumulate=True existing `.grad` buffers are added to
-    instead of replaced.
+    instead of replaced.  The leaves are read from a `GradTape` of the loss
+    before its run consumes it; after the run the tape holds the leaves'
+    adjoints only.  No node is changed, so a graph the caller still holds
+    can be run backward again.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape = GradTape(loss)
+    leaves = [node for node in tape.nodes if node.requires_grad and node._vjp is None]
     adj = tape.run()
     grads: dict[Tensor, np.ndarray] = {}
-    for node in tape.nodes:
-        if node.requires_grad and node._vjp is None:
-            g = adj.get(id(node))
-            g = np.zeros(node.shape) if g is None else g.reshape(node.shape)
-            if accumulate and node.grad is not None:
-                node.grad = node.grad + g
-            else:
-                node.grad = g.copy()
-            grads[node] = node.grad
+    for node in leaves:
+        g = adj.get(id(node))
+        g = np.zeros(node.shape) if g is None else g.reshape(node.shape)
+        if accumulate and node.grad is not None:
+            node.grad = node.grad + g
+        else:
+            node.grad = g.copy()
+        grads[node] = node.grad
     return grads
 
 

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,39 @@ class TestBackward:
             for p in node._parents:
                 assert pos[id(p)] < pos[id(node)]
 
+    def test_run_leaves_the_reached_leaves_adjoints_only(self):
+        rng = ng.new_rng(24)
+        x, y, u = (Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3))
+        w = Tensor(rng.standard_normal((2, 3)))  # a constant gets no adjoint
+        cat = ng.concat_rows([ng.exp(u), ng.mul(x, y)])
+        loss = ng.tsum(ng.mul(ng.slice_rows(cat, 2, 4), w))  # u is not reached
+        tape = GradTape(loss)
+        adj = tape.run()
+        assert set(adj) == {id(x), id(y)}
+        assert np.array_equal(adj[id(x)], w.data * y.data)
+        # the run consumed the tape; the graph is unchanged
+        assert tape.nodes == [] and tape.root is None
+        with pytest.raises(ContractError):
+            tape.run()
+        assert set(GradTape(loss).run()) == {id(x), id(y)}
+
+    def test_a_long_chain_holds_a_few_adjoints_at_a_time(self):
+        # a node's adjoint is dropped once its VJP has run, so the walk down
+        # a chain holds a few adjoints at a time, not one per node
+        x = Tensor(np.ones(10_000), requires_grad=True)
+        h = x
+        for _ in range(100):
+            h = ng.mul(h, 0.999)
+        tape = GradTape(ng.tsum(h))
+        tracemalloc.start()
+        try:
+            adj = tape.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(adj[id(x)], 0.999**100)
+        assert peak < 4 * x.data.nbytes, peak
+
 
 class TestGradientsOnlyWhereRead:
     """A VJP computes no gradient for a parent without requires_grad, and
@@ -367,7 +401,13 @@ class TestGradientsOnlyWhereRead:
         rng = ng.new_rng(23)
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         z = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        e = ng.exp(x)
+        calls = []  # e's VJP runs only if an adjoint reached e
+
+        def exp_vjp(g):
+            calls.append(g)
+            return (g * e.data,)
+
+        e = ng.custom_op(np.exp(x.data), (x,), exp_vjp)
         loss = ng.tsum(ng.slice_rows(ng.concat_rows([e, z]), 2, 5))  # z's rows only
         adj = GradTape(loss).run()
         assert id(e) not in adj and id(x) not in adj
@@ -375,6 +415,7 @@ class TestGradientsOnlyWhereRead:
         # a reachable leaf nothing reached still gets its (zero) gradient
         assert x in grads and np.array_equal(x.grad, np.zeros((2, 3)))
         assert np.array_equal(z.grad, np.ones((3, 3)))
+        assert calls == []
 
 
 class TestRowSliceAdjoints:
@@ -397,16 +438,19 @@ class TestRowSliceAdjoints:
         assert np.array_equal(x.grad, expected)
 
     def test_view_adjoint_is_copied_before_the_in_place_add(self):
-        # concat_rows hands each part a view of its own adjoint
+        # concat_rows hands each part a view of its own adjoint, and add
+        # hands that same adjoint to the leaf y, so writing a slice of x's
+        # adjoint into the view would leak into y's
         rng = ng.new_rng(6)
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         z = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+        y = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
         cat = ng.concat_rows([x, z])
         w, w2 = rng.standard_normal((5, 2)), rng.standard_normal((1, 2))
-        loss = ng.add(ng.tsum(ng.mul(cat, Tensor(w))),
+        loss = ng.add(ng.tsum(ng.mul(ng.add(cat, y), Tensor(w))),
                       ng.tsum(ng.mul(ng.slice_rows(x, 2, 3), Tensor(w2))))
         adj = GradTape(loss).run()
-        assert np.array_equal(adj[id(cat)], w)
+        assert np.array_equal(adj[id(y)], w)
         expected = w[:3].copy()
         expected[2:] += w2
         assert np.array_equal(adj[id(x)], expected)

@@ -408,6 +408,27 @@ class TestRecomputedBlocks:
         body = 8 * pf._block_body_values(ssm.GROUP_ROWS, 32, "mamba1", 1, 16)
         assert peaks[1] - peaks[0] < body, (peaks, body)
 
+    def test_the_reverse_pass_adds_at_most_two_group_bodies_to_the_kept_set(self):
+        # past what the forward keeps, the reverse pass holds one group's
+        # recorded body and the adjoints crossing it, and drops what it has
+        # walked past: adjoints, and the recorded body node by node
+        model = build_model(tiny_config(n_layers=2, d=64, n_heads=4, vocab_size=256,
+                                        n_state=None), seed=7)
+        backward(self.loss(model, ssm.GROUP_ROWS, n=64))  # warm-up
+        tracemalloc.start()
+        try:
+            loss = self.loss(model, ssm.GROUP_ROWS, n=64)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_state, n_heads = pf._cost_model(model.config)._block_sizes()
+        body = 8 * pf._block_body_values(ssm.GROUP_ROWS, 64, model.config.block_variant,
+                                         n_heads, n_state)
+        assert peak - kept < 2 * body, (kept, peak, body)
+
     @pytest.mark.parametrize("variant", ["mamba1", "mamba2"])
     def test_a_metered_backward_charges_one_block_forward_per_reached_group(self, variant):
         # three layers over three groups: the first two layers' groups are
