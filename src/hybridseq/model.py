@@ -1,8 +1,9 @@
 """Decoder stacks: the hybrid model, the transformer baseline, and I/O.
 
 A sequence is laid out video-first: M continuous video vectors followed by
-N text token embeddings.  The two architectures differ in how a layer
-updates the two roles:
+N text token embeddings, held apart as the caller's video rows and the
+embedded text (`TokenSequence`).  The two architectures differ in how a
+layer updates the two roles:
 
 * ``transformer_baseline`` -- one causal self-attention plus MLP over the
   full (M+N) stream; with the video-first layout the single causal mask
@@ -17,12 +18,13 @@ Both run one layer stack (`_stack`), the baseline as the case with no
 video rows, and one text body per layer (`_text_half`: norm, attention,
 MLP) and one head (`_head`: final norm, tied output product), in
 training, prefill and decode alike.  The stack runs the hybrid's video
-rows group-major: each group of `ssm.GROUP_ROWS` rows is taken from the
-stream and passes through every layer (norm, cross keys and values, the
-block from the state the group before left) before the next group starts;
-each layer's text half then runs once against the layer's whole video
-keys and values.  So a no-grad prefill builds no [M, d] array but the
-video caches, and its peak stays near their size.
+rows group-major: each group of `ssm.GROUP_ROWS` rows is sliced from the
+caller's video rows and passes through every layer (norm, cross keys and
+values, the block from the state the group before left) before the next
+group starts; each layer's text half then runs once against the layer's
+whole video keys and values.  So a no-grad prefill builds no [M, d] array
+but the video caches, and its peak stays near their size.  The baseline
+joins the video and text rows once, at the entry of its stack.
 
 Prefill runs the stack once and returns a `DecodeContext` carrying the
 per-layer video key/value caches and text self-attention caches the
@@ -97,18 +99,35 @@ class FormatError(HybridSeqError):
 
 @dataclass
 class TokenSequence:
-    """Token embeddings laid out video first: m video rows, then the text."""
+    """A sequence as its two roles: m video rows, then n text rows.
 
-    embeddings: Tensor
-    m: int  # video rows
-    n: int = field(init=False)  # text rows, the rest
+    `video` is the caller's float64 video rows as a `Tensor` (None without
+    video) and `text` the embedded token ids.  `make_sequence` wraps a
+    float64 C-contiguous video array without copying it, so a sequence
+    reads the caller's array: writing to that array while the sequence is
+    in use changes the sequence."""
+
+    video: Tensor | None
+    text: Tensor
+    m: int = field(init=False)  # video rows
+    n: int = field(init=False)  # text rows
 
     def __post_init__(self):
-        rows = self.embeddings.shape[0]
-        if not 0 <= self.m < rows:
-            raise ContractError(f"a sequence needs 0 <= m < rows (at least one text "
-                                f"token), got m = {self.m} of {rows} rows")
-        self.n = rows - self.m
+        if self.text.ndim != 2 or self.text.shape[0] < 1:
+            raise ContractError(f"a sequence needs at least one text row, got text of "
+                                f"shape {self.text.shape}")
+        if self.video is not None and (self.video.ndim != 2
+                                       or self.video.shape[1] != self.text.shape[1]):
+            raise ContractError(f"video rows {self.video.shape} and text rows "
+                                f"{self.text.shape} differ in width")
+        self.m = 0 if self.video is None else self.video.shape[0]
+        self.n = self.text.shape[0]
+
+    @property
+    def embeddings(self) -> Tensor:
+        """The whole stream, video rows then text: a new joined array when
+        there is video (the baseline's stack input)."""
+        return ng.concat_rows([self.video, self.text]) if self.m else self.text
 
 
 @dataclass
@@ -313,19 +332,27 @@ def hybrid_from_baseline(
 
 
 def make_sequence(model: Model, video: np.ndarray | None, text_ids) -> TokenSequence:
-    """Assemble a video-first sequence; text embeds through the token table."""
+    """A sequence of the video rows and the text ids embedded through the
+    token table.
+
+    A float64 C-contiguous video is wrapped, not copied (see
+    `TokenSequence`); any other array is copied once to float64.  A
+    non-finite video value raises `NumericError` naming its row."""
     ids = np.asarray(text_ids, dtype=np.intp)
     if ids.ndim != 1 or ids.size < 1:
         raise ContractError("need at least one text token id")
     if ids.min() < 0 or ids.max() >= model.config.vocab_size:
         raise ContractError("text token id outside the vocabulary")
-    text_emb = ng.index_rows(model.token_table, ids)
+    text = ng.index_rows(model.token_table, ids)
     if video is None or len(video) == 0:
-        return TokenSequence(embeddings=text_emb, m=0)
+        return TokenSequence(None, text)
     vid = np.asarray(video, dtype=np.float64)
     if vid.ndim != 2 or vid.shape[1] != model.config.d:
         raise ContractError(f"video vectors must be [M, {model.config.d}]")
-    return TokenSequence(embeddings=ng.concat_rows([Tensor(vid), text_emb]), m=len(vid))
+    bad = ng.first_bad_row(vid)
+    if bad is not None:
+        raise NumericError(f"video: non-finite value at row {bad}")
+    return TokenSequence(Tensor(vid), text)
 
 
 # --------------------------------------------------------------------------
@@ -459,26 +486,32 @@ class _VideoHalf:
         return ng.concat_rows(self.keys), ng.concat_rows(self.values)
 
 
-def _stack(layers: list[Layer], x: Tensor, m: int, caching: bool = False,
+def _stack(layers: list[Layer], seq: TokenSequence, hybrid: bool, caching: bool = False,
            video_out: list | None = None) -> tuple[Tensor, list]:
-    """The layers over the stream x whose first m rows are video; returns
-    the text rows after the last layer and the per-layer caches.
+    """The layers over seq; returns the text rows after the last layer and
+    the per-layer caches.
 
-    The baseline is the case m = 0: every row is a text row.  Each group of
-    `ssm.GROUP_ROWS` video rows is taken from the stream and passed through
-    every layer's video half in turn (`ssm.run_groups`), so without grad no
-    [M, d] array is built but the video caches, and under grad the same
-    order records the graph.  The video rows never read the text, so each
-    layer's text half then runs once, against the layer's whole video cache
-    (or joined keys and values).  The last layer's video rows are appended
-    group by group to `video_out` when it is given; otherwise nothing keeps
-    them.  With `caching` (gradients off) each layer's text half grows an
-    empty `LayerCache` holding its video cache, and the list holds the
-    grown ones; without, it holds None for each layer.
+    On the hybrid each group of `ssm.GROUP_ROWS` video rows is sliced
+    straight from `seq.video` and passed through every layer's video half
+    in turn (`ssm.run_groups`), so without grad no [M, d] array is built but
+    the video caches, and under grad the same order records the graph.
+    The baseline is the case with no video rows: it joins the video and
+    text rows here, once, and runs every row as text.  The video rows never
+    read the text, so each layer's text half then runs once, against the
+    layer's whole video cache (or joined keys and values).  The last
+    layer's video rows are appended group by group to `video_out` when it
+    is given; otherwise nothing keeps them.  With `caching` (gradients off)
+    each layer's text half grows an empty `LayerCache` holding its video
+    cache, and the list holds the grown ones; without, it holds None for
+    each layer.
     """
-    halves = [_VideoHalf(layer, m) for layer in layers] if m else [None] * len(layers)
-    ssm_mod.run_groups(x, m, halves, video_out)
-    text = ng.slice_rows(x, m, x.shape[0]) if m else x
+    m = seq.m if hybrid else 0
+    # a local, not an argument, so that the baseline's join is freed once layer 0 has read it
+    text = seq.text if hybrid else seq.embeddings
+    halves = [None] * len(layers)
+    if m:
+        halves = [_VideoHalf(layer, m) for layer in layers]
+        ssm_mod.run_groups(seq.video, m, halves, video_out)
     caches = []
     for i, (layer, half) in enumerate(zip(layers, halves)):
         video = None if half is None else half.video()
@@ -489,17 +522,24 @@ def _stack(layers: list[Layer], x: Tensor, m: int, caching: bool = False,
     return text, caches
 
 
-def _joined(layers: list[Layer], seq: TokenSequence, m: int) -> TokenSequence:
-    """`_stack` over seq with its first m rows as video; returns the last
-    layer's video rows, joined from their groups, then the text rows."""
-    video: list[Tensor] = []
-    text = _stack(layers, seq.embeddings, m, video_out=video)[0]
-    return TokenSequence(ng.concat_rows(video + [text]) if video else text, seq.m)
+def _hybrid(model: Model) -> bool:
+    """Whether the stack runs a sequence's video rows as video."""
+    return model.config.architecture == ARCH_HYBRID
 
 
-def _video_rows(model: Model, seq: TokenSequence) -> int:
-    """The rows of seq the stack runs as video: none on the baseline."""
-    return seq.m if model.config.architecture == ARCH_HYBRID else 0
+def _joined(layers: list[Layer], seq: TokenSequence, hybrid: bool) -> Tensor:
+    """`_stack` over seq; returns the last layer's video rows, joined from
+    their groups, then its text rows (on the baseline, every row)."""
+    groups: list[Tensor] = []
+    text = _stack(layers, seq, hybrid, video_out=groups)[0]
+    return ng.concat_rows(groups + [text]) if groups else text
+
+
+def _split(rows: Tensor, m: int) -> TokenSequence:
+    """Stream rows as a sequence of m video rows and the text after them."""
+    if not m:
+        return TokenSequence(None, rows)
+    return TokenSequence(ng.slice_rows(rows, 0, m), ng.slice_rows(rows, m, rows.shape[0]))
 
 
 def hybrid_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
@@ -511,7 +551,7 @@ def hybrid_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
     the state-space block (or left unchanged when the block is absent).
     The one-layer case of `_stack`.
     """
-    return _joined([layer], seq, seq.m)
+    return _split(_joined([layer], seq, True), seq.m)
 
 
 def baseline_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
@@ -520,13 +560,13 @@ def baseline_layer_forward(layer: Layer, seq: TokenSequence) -> TokenSequence:
     With the video-first layout, the single causal mask gives video token i
     attention over video 1..i and text token j attention over all video
     plus text 1..j.  The one-layer case of `_stack` with no video rows."""
-    return _joined([layer], seq, 0)
+    return _split(_joined([layer], seq, False), seq.m)
 
 
 def forward_hidden(model: Model, seq: TokenSequence) -> TokenSequence:
     """All layers; returns the final TokenSequence.  On the hybrid its video
     rows are the last layer's block output, joined from its row groups."""
-    return _joined(model.layers, seq, _video_rows(model, seq))
+    return _split(_joined(model.layers, seq, _hybrid(model)), seq.m)
 
 
 def _head(model: Model, h: Tensor, first: int) -> Tensor:
@@ -540,10 +580,12 @@ def text_logits(model: Model, seq: TokenSequence) -> Tensor:
     """Next-token logits for every text position, [N, vocab_size].
 
     Only text positions feed the output head; the head shares weights with
-    the token embedding table."""
-    hidden = forward_hidden(model, seq)
+    the token embedding table.  The text rows are sliced from the last
+    layer's rows joined as in `forward_hidden`, so the last block's
+    parameters stay in the graph, with all-zero gradients."""
     m, n = seq.m, seq.n
-    return _head(model, ng.slice_rows(hidden.embeddings, m, m + n), m)
+    hidden = _joined(model.layers, seq, _hybrid(model))
+    return _head(model, ng.slice_rows(hidden, m, m + n), m)
 
 
 # --------------------------------------------------------------------------
@@ -622,8 +664,7 @@ def prefill(model: Model, seq: TokenSequence):
     only."""
     m, n = seq.m, seq.n
     with ng.no_grad():
-        rows, caches = _stack(model.layers, seq.embeddings, _video_rows(model, seq),
-                              caching=True)
+        rows, caches = _stack(model.layers, seq, _hybrid(model), caching=True)
         last = rows.shape[0]
         logits = _head(model, ng.slice_rows(rows, last - 1, last), m + n - 1)
     return logits.data[0], DecodeContext(n_text=n, caches=caches)

@@ -279,8 +279,8 @@ class CostModel:
         d, h = self.d, self.n_heads
         r = m + n
         mv, nt = self._stack_rows(m, n)
-        # token rows (joined after the video), head rows, final norm, logits
-        vals = n * (4.0 * d + 1 + self.vocab_size) + (r * d if m else 0)
+        # token rows, head rows, final norm, logits
+        vals = n * (4.0 * d + 1 + self.vocab_size)
         # a text-half row: two norms (output, normalized input, 1/std), two
         # residuals, the MLP's four [ff] arrays (product, biased, GELU, its
         # kept Phi) and two [d] outputs, and the self branch's q, k, v,
@@ -288,13 +288,16 @@ class CostModel:
         row = 13.0 * d + 4 * self.mlp_ratio * d + 2
         per_layer = 1.0 * h * nt * nt + nt * row
         if mv > 0:
-            # once: the video row groups and the text rows sliced from the
-            # stream, and the last layer's rows joined
-            vals += 2.0 * r * d
+            # once: the row groups copied from the caller's video rows, and
+            # the last layer's rows joined
+            vals += (m + r) * d
             # per layer: cross probabilities; a text row's cross q, merged
             # heads, output product and the blend's three arrays; a video
             # row's norm, its cross key and value and their joined copies
             per_layer += 1.0 * h * mv * nt + 6.0 * nt * d + mv * (6.0 * d + 1)
+        elif m:
+            # the baseline's stream: the video rows joined before the text
+            vals += r * d
         if self.block_variant != BLOCK_NONE:
             n_state, n_heads = self._block_sizes()
             per_layer += _block_kept_values(mv, d, self.block_variant, n_heads, n_state)

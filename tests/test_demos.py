@@ -12,7 +12,7 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMOS = ["01_selective_scan.py", "02_blended_attention.py", "03_scaling_curves.py",
-         "05_training_memory.py"]
+         "05_training_memory.py", "06_inference_memory.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

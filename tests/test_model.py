@@ -58,14 +58,20 @@ def random_sequence(model, m, n, seed=0):
 
 class TestTokenSequence:
     def test_needs_text(self):
-        # m counts the video rows; every row past them is text
-        for m in (2, 3, -1):
+        # the text needs at least one row, and video and text one width
+        for video, text in ((None, np.zeros((0, 4))), (np.zeros((2, 4)), np.zeros((0, 4))),
+                            (None, np.zeros(4)), (np.zeros((2, 3)), np.zeros((1, 4))),
+                            (np.zeros(8), np.zeros((1, 4)))):
             with pytest.raises(ContractError):
-                TokenSequence(embeddings=Tensor(np.zeros((2, 4))), m=m)
+                TokenSequence(None if video is None else Tensor(video), Tensor(text))
 
     def test_counts(self):
-        seq = TokenSequence(embeddings=Tensor(np.zeros((5, 4))), m=3)
+        seq = TokenSequence(Tensor(np.zeros((3, 4))), Tensor(np.ones((2, 4))))
         assert seq.m == 3 and seq.n == 2
+        assert np.array_equal(seq.embeddings.data, np.concatenate([np.zeros((3, 4)),
+                                                                   np.ones((2, 4))]))
+        text_only = TokenSequence(None, Tensor(np.ones((2, 4))))
+        assert text_only.m == 0 and text_only.n == 2 and text_only.embeddings is text_only.text
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -74,6 +80,53 @@ class TestTokenSequence:
             HybridStackConfig(d=10, n_heads=4).validate()
         with pytest.raises(ConfigError):
             HybridStackConfig(block_variant="mamba9").validate()
+
+
+class TestOneCopyOfTheVideo:
+    """A sequence reads the caller's video rows; prefill builds no [M, d]
+    array of its own beside the video caches."""
+
+    def test_a_float64_contiguous_video_is_shared(self):
+        model = build_model(small_config(), seed=20)
+        video = ng.new_rng(21).standard_normal((9, 8))
+        seq = make_sequence(model, video, [1, 2])
+        assert np.shares_memory(seq.video.data, video)
+        video[3, 4] = 7.0  # the aliasing contract: the sequence sees the write
+        assert seq.video.data[3, 4] == 7.0
+
+    def test_other_videos_are_copied_once(self):
+        model = build_model(small_config(), seed=22)
+        wide = ng.new_rng(23).standard_normal((9, 16))
+        for video in (wide[:, ::2], wide[:, :8].astype(np.float32)):
+            seq = make_sequence(model, video, [1, 2])
+            assert not np.shares_memory(seq.video.data, wide)
+            assert seq.video.data.flags["C_CONTIGUOUS"] and seq.video.data.dtype == np.float64
+            assert np.array_equal(seq.video.data, video.astype(np.float64))
+
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_non_finite_video_names_its_row(self, row):
+        model = build_model(small_config(), seed=24)
+        video = ng.new_rng(25).standard_normal((9, 8))
+        video[row, 3] = np.nan
+        video[7, 0] = np.inf
+        with pytest.raises(ng.NumericError, match=f"^video: non-finite value at row {row}$"):
+            make_sequence(model, video, [1, 2])
+
+    def test_prefill_keeps_no_second_copy_of_the_video(self):
+        # traced from after the video exists: a sequence that copied the
+        # video, or a stack that joined it to the text, reads above 2 arrays
+        cfg = HybridStackConfig(d=64, n_layers=2, n_heads=4, vocab_size=256).validate()
+        model = build_model(cfg, seed=0)
+        rng = ng.new_rng(1)
+        video, ids = rng.standard_normal((8192, 64)), rng.integers(0, 256, 64)
+        tracemalloc.start()
+        try:
+            _, ctx = prefill(model, make_sequence(model, video, ids))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        caches = sum(c.video_kv.k.nbytes + c.video_kv.v.nbytes for c in ctx.caches)
+        assert (peak - caches) / video.nbytes < 1.5
 
 
 class TestLayerForwards:
@@ -769,7 +822,7 @@ class TestTextOnlyHybrid:
         base = build_model(small_config(arch=ARCH_BASELINE), seed=93)
         hyb = hybrid_from_baseline(base, small_config(), seed=94, mamba_out_std=0.2)
         seq = random_sequence(base, m=300, n=5, seed=95)
-        as_text = TokenSequence(seq.embeddings, 0)
+        as_text = TokenSequence(None, seq.embeddings)
         assert np.array_equal(forward_hidden(base, seq).embeddings.data,
                               forward_hidden(hyb, as_text).embeddings.data)
         assert np.array_equal(text_logits(base, seq).data, text_logits(hyb, as_text).data[300:])
